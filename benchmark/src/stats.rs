@@ -1,0 +1,52 @@
+//! Order statistics over timing samples.
+
+/// Median (mean of the two middle values for an even count); 0 when
+/// empty.
+pub fn median(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+/// Nearest-rank percentile `p` in (0, 100]; 0 when empty.
+pub fn percentile(xs: &[f64], p: f64) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
+    v[rank.clamp(1, v.len()) - 1]
+}
+
+/// `num / den`, or 0 when `den` is 0.
+pub fn ratio(num: f64, den: f64) -> f64 {
+    if den == 0.0 {
+        0.0
+    } else {
+        num / den
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn median_and_percentile() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&xs, 99.0), 99.0);
+        assert_eq!(percentile(&xs, 50.0), 50.0);
+        assert_eq!(percentile(&[5.0], 99.0), 5.0);
+    }
+}
