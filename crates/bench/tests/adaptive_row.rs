@@ -9,8 +9,8 @@
 //!   (gen-2 run count ≤ gen-1, generation counter advances only when
 //!   there is evidence to act on);
 //! - the uServer sweep: gen-2 run counts pinned against measured values
-//!   (golden table under `RETRACE_FULL_ADAPTIVE`, the exp-4 headline
-//!   bound in the default leg's cheapest scenario subset).
+//!   (bounds on all five scenarios, and the full table against its
+//!   golden).
 //!
 //! Run counts are deterministic given the fixed seeds, so the bounds
 //! are regression guards with headroom — not statistical hopes.
@@ -73,20 +73,7 @@ fn adaptive_gen2_rows_hold_their_measured_bounds() {
     // well under the static baseline once gen-2 forces the consulted
     // comparison clusters' literals; its bound (250) sits under the
     // gen-1/static plateau on purpose.
-    let all_bounds = [(1, 16), (2, 90), (3, 150), (4, 250), (5, 110)];
-    // The full sweep costs minutes in debug, so the default leg guards
-    // the cheapest scenario plus the exp-4 headline; CI's adaptive-row
-    // step sets RETRACE_FULL_ADAPTIVE=1 to sweep everything in release.
-    let full = std::env::var("RETRACE_FULL_ADAPTIVE").is_ok();
-    let bounds: Vec<_> = if full {
-        all_bounds.to_vec()
-    } else {
-        all_bounds
-            .iter()
-            .copied()
-            .filter(|(id, _)| *id == 2)
-            .collect()
-    };
+    let bounds = [(1, 16), (2, 90), (3, 150), (4, 250), (5, 110)];
     for (id, gen2_bound) in bounds {
         let exp = userver_experiment(id, knobs());
         let (g1, g2) = replay_adaptive(&exp, Method::DynamicStatic, &bundle, BUDGET);
@@ -106,14 +93,9 @@ fn adaptive_gen2_rows_hold_their_measured_bounds() {
 }
 
 /// The full adaptive table against its committed golden — the pinned
-/// form of the Table 3 `adaptive gen-2` column family. Gated: the
-/// five-scenario double-replay sweep is release-scale work.
+/// form of the Table 3 `adaptive gen-2` column family.
 #[test]
 fn adaptive_table_matches_golden() {
-    if std::env::var("RETRACE_FULL_ADAPTIVE").is_err() {
-        eprintln!("skipping adaptive golden sweep (set RETRACE_FULL_ADAPTIVE=1)");
-        return;
-    }
     let table = adaptive_table(Knobs::default(), &[1, 2, 3, 4, 5], BUDGET);
     check_golden("userver_adaptive_replay.txt", &table);
 }

@@ -51,27 +51,13 @@ fn combined_rows_are_finite_under_the_standard_budget() {
     let bundles = analyze_coverages(&abench.wb);
     // Measured run counts at introduction, with regression headroom.
     // (exp, lc bound, hc bound); exp 1 is the fast scenario.
-    let all_bounds = [
+    let bounds = [
         (1, 16, 16),
         (2, 90, 90),
         (3, 150, 150),
         (4, 300, 300),
         (5, 110, 110),
     ];
-    // The full five-scenario sweep costs ~45 s release (minutes in
-    // debug), so the default guards the two cheapest formerly-∞ rows;
-    // CI's combined-row job sets RETRACE_FULL_COMBINED_GUARD=1 to sweep
-    // everything in release.
-    let full = std::env::var("RETRACE_FULL_COMBINED_GUARD").is_ok();
-    let bounds: Vec<_> = if full {
-        all_bounds.to_vec()
-    } else {
-        all_bounds
-            .iter()
-            .copied()
-            .filter(|(id, ..)| *id == 2 || *id == 5)
-            .collect()
-    };
     for (id, lc_bound, hc_bound) in bounds {
         let exp = experiment(id);
         for (bundle, bound, label) in [(&bundles.lc, lc_bound, "lc"), (&bundles.hc, hc_bound, "hc")]

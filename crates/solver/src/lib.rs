@@ -7,7 +7,10 @@
 //! [`solve()`](solve()) finds satisfying assignments using interval
 //! refutation, backward interval propagation, algebraic inversion, and
 //! guided stochastic search — exactly the workload shapes the benchmarks
-//! generate (§5 of the paper).
+//! generate (§5 of the paper). Before the (incomplete) stochastic search,
+//! a complete refutation step enumerates the small connected support of
+//! the unsatisfied literals, so a real contradiction over a few input
+//! bytes is proved UNSAT (`SolveStats::refuted`) instead of timed out.
 //!
 //! # The constraint vocabulary
 //!
@@ -106,6 +109,7 @@ pub mod cache;
 pub mod constraint;
 pub mod interval;
 pub mod op;
+mod refute;
 pub mod solve;
 
 pub use arena::{ArenaSnapshot, ExprArena, ExprRef, Node, VarId, VarInfo};
@@ -280,6 +284,42 @@ mod proptests {
                 prop_assert_eq!(plain_stats.refuted, cached_stats.refuted);
                 prop_assert_eq!(cached_stats.prefix_lits_saved, k as u64);
                 prop_assert_eq!(cached_stats.prefix_hit, k > 0);
+            }
+        }
+
+        /// The refutation step is sound, and complete within its caps:
+        /// three variables of domain [0, 15] always fit the caps, so a
+        /// set is refuted exactly when brute force finds no model.
+        #[test]
+        fn refuted_iff_brute_force_finds_no_model(
+            ops in proptest::collection::vec(any::<u8>(), 1..24),
+            lits in proptest::collection::vec((0usize..24, 0usize..6, 0i64..16, any::<bool>()), 1..5),
+            ranges in proptest::collection::vec((0usize..24, 0i64..32, 0i64..32), 0..2),
+            seed in proptest::collection::vec(0i64..16, 3),
+        ) {
+            let mut arena = ExprArena::new();
+            let vars: Vec<ExprRef> =
+                (0..3).map(|_| arena.fresh_var(VarInfo::range(0, 15)).1).collect();
+            let mut cs = ConstraintSet::new();
+            for &(at, op, c, positive) in &lits {
+                let e = arb_expr(&mut arena, &vars, &ops[at % ops.len()..], 0);
+                let c = arena.constant(c);
+                let op = [Op::Eq, Op::Ne, Op::Lt, Op::Le, Op::Gt, Op::Ge][op];
+                let cmp = arena.bin(op, e, c);
+                cs.push(Lit { expr: cmp, positive });
+            }
+            for &(at, a, b) in &ranges {
+                let e = arb_expr(&mut arena, &vars, &ops[at % ops.len()..], 0);
+                cs.push_range(RangeConstraint::range(e, a.min(b), a.max(b), a.min(b)));
+            }
+            let has_model = (0..16 * 16 * 16)
+                .any(|n| cs.satisfied(&arena, &[n / 256, n / 16 % 16, n % 16]));
+            let cfg = SolveCfg { max_iters: 200, ..SolveCfg::default() };
+            let (model, stats) = solve_with_stats(&arena, &cs, Some(&seed), &cfg);
+            prop_assert_eq!(stats.refuted, !has_model);
+            if stats.refuted {
+                prop_assert!(model.is_none());
+                prop_assert_eq!(stats.iters, 0);
             }
         }
     }

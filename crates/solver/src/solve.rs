@@ -10,12 +10,17 @@
 //!
 //! 1. **Interval refutation** — reject sets with a literal that can never
 //!    hold under the variable domains.
-//! 2. **Inversion repair** — walk the first unsatisfied literal's
+//! 2. **Small-support refutation** — exhaustively search the few
+//!    variables connected to the literals the seed leaves unsatisfied
+//!    (see the `refute` module). Exhausting that search proves the set
+//!    UNSAT without spending an iteration; any other outcome is
+//!    discarded, so the steps below run exactly as without it.
+//! 3. **Inversion repair** — walk the first unsatisfied literal's
 //!    expression top-down, algebraically inverting `+`, `-`, `*`, `^`,
 //!    masks and negations to compute the variable value that satisfies a
 //!    comparison directly. This solves the common `input[i] == 'G'`,
 //!    `len > 40`, `x*10+d == 123` shapes in O(depth).
-//! 3. **Incremental stochastic search** — WalkSAT-style: maintain per-
+//! 4. **Incremental stochastic search** — WalkSAT-style: maintain per-
 //!    literal satisfaction flags and a variable→literal adjacency index;
 //!    each move re-evaluates only the literals depending on the mutated
 //!    variable (with a generation-stamped shared memo). Deterministic via
@@ -80,8 +85,10 @@ pub struct SolveStats {
     pub inversions: usize,
     /// Random restarts taken.
     pub restarts: usize,
-    /// The set was *proved* unsatisfiable (interval refutation or empty
-    /// propagated domain) rather than merely not solved within budget.
+    /// The set was *proved* unsatisfiable (interval refutation, an empty
+    /// propagated domain, or an exhausted small-support search) rather
+    /// than merely not solved within budget. A refuted call spends no
+    /// iterations.
     pub refuted: bool,
     /// [`solve_or_pin`] had to fall back to the hard-pinned variant.
     pub pin_fallback: bool,
@@ -158,17 +165,17 @@ impl Item {
     }
 }
 
-struct Search<'a> {
+pub(crate) struct Search<'a> {
     arena: &'a ExprArena,
     items: Vec<Item>,
     /// Narrowed per-variable domains (from interval propagation).
-    domains: Vec<VarInfo>,
-    ev: Evaluator,
-    assign: Vec<i64>,
-    sat: Vec<bool>,
+    pub(crate) domains: Vec<VarInfo>,
+    pub(crate) ev: Evaluator,
+    pub(crate) assign: Vec<i64>,
+    pub(crate) sat: Vec<bool>,
     n_sat: usize,
-    supports: Vec<Vec<VarId>>,
-    var_lits: HashMap<VarId, Vec<usize>>,
+    pub(crate) supports: Vec<Vec<VarId>>,
+    pub(crate) var_lits: HashMap<VarId, Vec<usize>>,
 }
 
 impl<'a> Search<'a> {
@@ -219,7 +226,7 @@ impl<'a> Search<'a> {
         s
     }
 
-    fn lit_holds(&mut self, i: usize) -> bool {
+    pub(crate) fn lit_holds(&mut self, i: usize) -> bool {
         match self.items[i] {
             Item::Lit(lit) => {
                 (self.ev.eval(self.arena, lit.expr, &self.assign) != 0) == lit.positive
@@ -375,6 +382,12 @@ pub fn solve_with_stats_cached(
             stats.refuted = true;
             return (None, stats);
         }
+    }
+    // Small connected supports are decided exhaustively; only a proof
+    // ends the call here, so local search below runs unchanged otherwise.
+    if crate::refute::refutes(&mut search) {
+        stats.refuted = true;
+        return (None, stats);
     }
 
     let mut rng = XorShift::new(cfg.seed);
@@ -922,12 +935,81 @@ mod tests {
             expr: e,
             positive: false,
         });
-        // Not interval-refutable, but the search must fail.
+        // Not interval-refutable: the refutation step proves it before
+        // any local search.
+        let (m, stats) = solve_with_stats(&a, &cs, None, &SolveCfg::default());
+        assert!(m.is_none());
+        assert!(stats.refuted && stats.iters == 0, "{stats:?}");
+    }
+
+    #[test]
+    fn refutes_two_variable_contradiction() {
+        // x == y forces x ^ y == 0: no interval check sees it.
+        let (mut a, v) = bytes(2);
+        let same = a.bin(Op::Eq, v[0], v[1]);
+        let x = a.bin(Op::Xor, v[0], v[1]);
+        let one = a.constant(1);
+        let odd = a.bin(Op::Eq, x, one);
+        let mut cs = ConstraintSet::new();
+        cs.push(Lit {
+            expr: same,
+            positive: true,
+        });
+        cs.push(Lit {
+            expr: odd,
+            positive: true,
+        });
+        assert!(!cs.obviously_unsat(&a));
+        let (m, stats) = solve_with_stats(&a, &cs, Some(&[7, 7]), &SolveCfg::default());
+        assert!(m.is_none());
+        assert!(stats.refuted && stats.iters == 0, "{stats:?}");
+    }
+
+    #[test]
+    fn refutes_misaligned_literal_against_aligned_range() {
+        // p stays on the stride-4 grid of [4096, 4156], yet the branch
+        // demands p == 4098: inside the interval, off the grid.
+        let mut a = ExprArena::new();
+        let (_, p) = a.fresh_var(VarInfo::range(0, 1 << 20));
+        let c = a.constant(4098);
+        let hit = a.bin(Op::Eq, p, c);
+        let mut cs = ConstraintSet::new();
+        cs.push_range(RangeConstraint::aligned(p, 4096, 4156, 4, 4096, 4104));
+        cs.push(Lit {
+            expr: hit,
+            positive: true,
+        });
+        let (m, stats) = solve_or_pin(&mut a, &cs, Some(&[4104]), &SolveCfg::default());
+        assert!(m.is_none());
+        assert!(stats.refuted && stats.iters == 0, "{stats:?}");
+        assert!(!stats.pin_fallback, "a proof needs no pinned retry");
+    }
+
+    #[test]
+    fn wide_domain_falls_through_to_local_search() {
+        // The same shape as `detects_contradiction`, over a domain too
+        // wide to enumerate: no proof, so the budget is spent as before.
+        let mut a = ExprArena::new();
+        let (_, p) = a.fresh_var(VarInfo::range(0, 1 << 20));
+        let c = a.constant(4096);
+        let e = a.bin(Op::Eq, p, c);
+        let mut cs = ConstraintSet::new();
+        cs.push(Lit {
+            expr: e,
+            positive: true,
+        });
+        cs.push(Lit {
+            expr: e,
+            positive: false,
+        });
         let cfg = SolveCfg {
-            max_iters: 3000,
+            max_iters: 500,
             ..SolveCfg::default()
         };
-        assert!(solve(&a, &cs, None, &cfg).is_none());
+        let (m, stats) = solve_with_stats(&a, &cs, None, &cfg);
+        assert!(m.is_none());
+        assert!(!stats.refuted);
+        assert_eq!(stats.iters, 500);
     }
 
     #[test]
