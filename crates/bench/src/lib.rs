@@ -15,9 +15,9 @@ pub mod fixtures;
 pub mod render;
 pub mod setup;
 
-/// Parses `--workers N` from the command line (default 1, the serial
-/// engines). Replay/analysis results are identical for every worker
-/// count; `N > 1` only changes wall-clock time.
+/// Parses `--workers N` from the command line (default 1): the number
+/// of threads each solve streak solves on. Replay/analysis results are
+/// identical for every worker count; only wall-clock time changes.
 pub fn workers_arg() -> usize {
     let args: Vec<String> = std::env::args().collect();
     args.iter()

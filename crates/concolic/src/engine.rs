@@ -23,15 +23,17 @@ use minic::CompiledProgram;
 use oskit::{Kernel, KernelConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use search::{Frontier, FrontierStats, SearchLimits, SearchPolicy};
+use search::{Frontier, FrontierStats, SearchLimits, SolveCtx, SolveTally, Streak};
 use solver::{mix_seed, ConstraintSet, ExprArena, Lit, PrefixCache, SolveCfg, VarId};
 use std::collections::HashMap;
 
-/// Exploration budget. `max_runs` is the primary (deterministic) knob —
-/// the LC/HC axis of the paper; the others are safety caps. The shared
-/// knob surface lives in [`search::SearchLimits`], embedded here (and
-/// by `replay::ReplayBudget`) behind `Deref`, so `budget.max_runs` and
-/// friends read and write exactly as before the unification.
+/// Search budget of either engine. `max_runs` is the primary
+/// (deterministic) knob — the LC/HC axis of the paper for analysis, the
+/// stand-in for the 1-hour timeout for replay; the others are safety
+/// caps. The search knobs live in [`search::SearchLimits`], embedded
+/// behind `Deref` so `budget.max_runs` and friends read and write
+/// directly. [`Budget::default`] is the analysis budget;
+/// [`Budget::replay`] the replay one.
 #[derive(Debug, Clone)]
 pub struct Budget {
     /// The shared search knobs (run cap, fuel, wall clock, frontier
@@ -82,22 +84,10 @@ impl From<Budget> for SearchLimits {
 }
 
 impl Budget {
-    /// Sets the run cap.
-    #[deprecated(note = "write `budget.max_runs` (via SearchLimits) directly")]
-    pub fn set_max_runs(&mut self, n: usize) {
-        self.limits.max_runs = n;
-    }
-
-    /// Sets the worker count.
-    #[deprecated(note = "write `budget.workers` (via SearchLimits) directly")]
-    pub fn set_workers(&mut self, n: usize) {
-        self.limits.workers = n;
-    }
-
-    /// Sets the scheduling policy.
-    #[deprecated(note = "write `budget.policy` (via SearchLimits) directly")]
-    pub fn set_policy(&mut self, policy: SearchPolicy) {
-        self.limits.policy = policy;
+    /// The replay defaults: the developer-site search gets a deeper run
+    /// budget (512) because a replay that stops short is useless.
+    pub fn replay() -> Self {
+        SearchLimits::replay().into()
     }
 }
 
@@ -309,25 +299,130 @@ impl<'p> Engine<'p> {
     /// Full exploration: runs until the budget is exhausted or no
     /// unexplored pending constraint set remains.
     ///
-    /// `budget.workers <= 1` runs the fully serial engine; larger values
-    /// shard the candidate search across that many worker threads with
-    /// speculative solving committed strictly in pop order, so the
-    /// result is worker-count invariant (see the replay engine's
-    /// parallel protocol — this is the same, minus forced-set repair).
+    /// Each round runs the current candidate, banks its offers and asks
+    /// [`search::solve_next`] for the next candidate. `budget.workers`
+    /// only sets how many pending sets that streak solves at once;
+    /// verdicts commit in pop order, so the result is worker-count
+    /// invariant.
     pub fn analyze(&self) -> AnalysisResult {
-        if self.cfg.budget.workers <= 1 {
-            self.analyze_serial()
-        } else {
-            self.analyze_parallel()
+        let start = std::time::Instant::now();
+        let limits = &self.cfg.budget.limits;
+        let mut arena = ExprArena::new();
+        let vars = InputVars::alloc(&mut arena, &self.cfg.spec);
+        let n_controllable = vars.n_controllable as usize;
+        let mut res = AnalysisResult {
+            labels: LabelMap::new(self.cp.n_branches()),
+            profile: Profile::new(self.cp.n_branches()),
+            runs: 0,
+            solver_calls: 0,
+            solver_sat: 0,
+            crashes: Vec::new(),
+            arena_nodes: 0,
+            total_instrs: 0,
+            concretizations: 0,
+            concretization_ranges: 0,
+            concretization_pins: 0,
+            pin_fallbacks: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            prefix_len_saved: 0,
+            exhausted: false,
+            timed_out: false,
+            frontier: FrontierStats::default(),
+        };
+        let mut tally = SolveTally::default();
+        let mut pcache = PrefixCache::new();
+        let mut assignment = self.initial_assignment();
+        let mut frontier = Frontier::new(
+            limits.policy.clone(),
+            limits.max_pendings_per_run,
+            limits.max_pending_lits,
+        );
+
+        loop {
+            let (record, arena_back) = self.run_once(arena, &vars, &assignment);
+            arena = arena_back;
+            res.labels.merge(&record.labels);
+            res.profile.merge(&record.profile);
+            res.total_instrs += record.meter.instrs;
+            res.concretizations += record.concretizations;
+            res.concretization_ranges += record.concretization_ranges;
+            res.concretization_pins += record.concretization_pins;
+            if let RunOutcome::Crashed(info) = &record.outcome {
+                res.crashes.push(FoundCrash {
+                    info: info.clone(),
+                    argv: record.argv.clone(),
+                    assignment: assignment.clone(),
+                });
+            }
+            res.runs += 1;
+            if res.runs >= limits.max_runs {
+                break;
+            }
+            if limits.wall_expired(start) {
+                res.timed_out = true;
+                break;
+            }
+
+            // Schedule pending sets: substitute this run's nondeterminism,
+            // then negate branch literals in the strategy's offer order
+            // (caps, quotas and dedup live in the frontier).
+            self.bank_offers(
+                &record,
+                &assignment,
+                &vars,
+                &mut arena,
+                &mut frontier,
+                &mut pcache,
+            );
+            // Freeze the generation the solves share.
+            arena.freeze();
+
+            let ctx = SolveCtx {
+                arena: &arena,
+                cache: &pcache,
+                solve: &self.cfg.solve,
+                seed: self.cfg.seed,
+                limits,
+                start,
+            };
+            match search::solve_next(&mut frontier, &ctx, &mut tally, |_, _| {}) {
+                Streak::Model(model) => assignment = model[..n_controllable].to_vec(),
+                Streak::TimedOut => {
+                    res.timed_out = true;
+                    break;
+                }
+                // Frontier drained before the run budget: restart from a
+                // fresh seed if the policy allows, else we are done.
+                Streak::Drained if limits.policy.restart_on_drain && frontier.ever_scheduled() => {
+                    let r = frontier.stats().restarts;
+                    frontier.note_restart();
+                    assignment = self.restart_assignment(r);
+                }
+                Streak::Drained => {
+                    res.exhausted = true;
+                    break;
+                }
+            }
         }
+
+        res.arena_nodes = arena.len();
+        res.solver_calls = tally.calls as usize;
+        res.solver_sat = tally.sat as usize;
+        res.pin_fallbacks = tally.pin_fallbacks;
+        res.cache_hits = tally.cache_hits;
+        res.cache_misses = tally.cache_misses;
+        res.prefix_len_saved = tally.prefix_lits_saved;
+        res.frontier = frontier.into_stats();
+        res
     }
 
     /// Banks one finished run into the frontier: substitutes the run's
     /// nondeterminism into the path condition, then offers negated
     /// branch literals in the strategy's order (caps, quotas and dedup
     /// live in the frontier). Mutates the arena (substitution interns
-    /// new expressions) and is the prefix cache's single writer, so the
-    /// parallel engine calls it only between speculative phases.
+    /// new expressions) and is the prefix cache's single writer, so it
+    /// runs only between solve streaks.
     fn bank_offers(
         &self,
         record: &RunRecord,
@@ -418,384 +513,6 @@ impl<'p> Engine<'p> {
             frontier.offer(cs, seed_controllables.clone(), Some(bid.0));
         }
         frontier.end_run();
-    }
-
-    fn analyze_serial(&self) -> AnalysisResult {
-        let start = std::time::Instant::now();
-        let mut arena = ExprArena::new();
-        let vars = InputVars::alloc(&mut arena, &self.cfg.spec);
-        let mut labels = LabelMap::new(self.cp.n_branches());
-        let mut profile = Profile::new(self.cp.n_branches());
-        let mut crashes = Vec::new();
-        let mut solver_calls = 0usize;
-        let mut solver_sat = 0usize;
-        let mut total_instrs = 0u64;
-        let mut concretizations = 0u64;
-        let mut concretization_ranges = 0u64;
-        let mut concretization_pins = 0u64;
-        let mut pin_fallbacks = 0u64;
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let mut prefix_len_saved = 0u64;
-        let mut pcache = PrefixCache::new();
-
-        let mut assignment = self.initial_assignment();
-        let mut frontier = Frontier::new(
-            self.cfg.budget.policy.clone(),
-            self.cfg.budget.max_pendings_per_run,
-            self.cfg.budget.max_pending_lits,
-        );
-        let mut runs = 0usize;
-        let mut exhausted = false;
-        let mut timed_out = false;
-        let wall_expired = |start: &std::time::Instant| {
-            self.cfg.budget.max_wall_ms > 0
-                && start.elapsed().as_millis() as u64 > self.cfg.budget.max_wall_ms
-        };
-
-        'explore: loop {
-            let (record, arena_back) = self.run_once(arena, &vars, &assignment);
-            arena = arena_back;
-            labels.merge(&record.labels);
-            profile.merge(&record.profile);
-            total_instrs += record.meter.instrs;
-            concretizations += record.concretizations;
-            concretization_ranges += record.concretization_ranges;
-            concretization_pins += record.concretization_pins;
-            if let RunOutcome::Crashed(info) = &record.outcome {
-                crashes.push(FoundCrash {
-                    info: info.clone(),
-                    argv: record.argv.clone(),
-                    assignment: assignment.clone(),
-                });
-            }
-            runs += 1;
-            if runs >= self.cfg.budget.max_runs {
-                break;
-            }
-            if wall_expired(&start) {
-                timed_out = true;
-                break;
-            }
-
-            // Schedule pending sets: substitute this run's nondeterminism,
-            // then negate branch literals in the strategy's offer order
-            // (caps, quotas and dedup live in the frontier).
-            self.bank_offers(
-                &record,
-                &assignment,
-                &vars,
-                &mut arena,
-                &mut frontier,
-                &mut pcache,
-            );
-            arena.freeze();
-
-            // Solve pending sets in the frontier's order until one is
-            // satisfiable; sets with range constraints retry pinned when
-            // the bounded form goes unsolved.
-            let mut next: Option<Vec<i64>> = None;
-            while let Some(pending) = frontier.pop() {
-                solver_calls += 1;
-                let cfg = SolveCfg {
-                    seed: mix_seed(self.cfg.seed, solver_calls as u64),
-                    ..self.cfg.solve.clone()
-                };
-                let sig = search::signature(&pending.cs);
-                let (model, sstats) = solver::solve_or_pin_ro_cached(
-                    &arena,
-                    &pending.cs,
-                    Some(&pending.seed),
-                    &cfg,
-                    self.cfg.budget.prefix_cache.then_some(&pcache),
-                );
-                if sstats.pin_fallback {
-                    pin_fallbacks += 1;
-                }
-                if sstats.prefix_hit {
-                    cache_hits += 1;
-                } else {
-                    cache_misses += 1;
-                }
-                prefix_len_saved += sstats.prefix_lits_saved;
-                if let Some(model) = model {
-                    solver_sat += 1;
-                    frontier.note_solved_sig(sig, true);
-                    next = Some(model[..vars.n_controllable as usize].to_vec());
-                    break;
-                }
-                frontier.note_solved_sig(sig, false);
-                if wall_expired(&start) {
-                    timed_out = true;
-                    break;
-                }
-            }
-            match next {
-                Some(model) => assignment = model,
-                None => {
-                    if timed_out {
-                        break;
-                    }
-                    // Frontier drained before the run budget: restart from
-                    // a fresh seed if the policy allows, else we are done.
-                    if self.cfg.budget.policy.restart_on_drain && frontier.ever_scheduled() {
-                        let r = frontier.stats().restarts;
-                        frontier.note_restart();
-                        assignment = self.restart_assignment(r);
-                        continue 'explore;
-                    }
-                    exhausted = true;
-                    break;
-                }
-            }
-        }
-
-        AnalysisResult {
-            labels,
-            profile,
-            runs,
-            solver_calls,
-            solver_sat,
-            crashes,
-            arena_nodes: arena.len(),
-            total_instrs,
-            concretizations,
-            concretization_ranges,
-            concretization_pins,
-            pin_fallbacks,
-            cache_hits,
-            cache_misses,
-            prefix_len_saved,
-            exhausted,
-            timed_out,
-            frontier: frontier.into_stats(),
-        }
-    }
-
-    /// The parallel analysis engine: `workers` threads speculatively
-    /// solve pending sets popped from the shared frontier (and replay
-    /// SAT models on their own `minic::Vm` over private arena clones),
-    /// with verdicts committed serially in pop order — the same protocol
-    /// as the replay engine's, minus forced-set repair. The committed
-    /// decision sequence is exactly the serial engine's, so the analysis
-    /// result is worker-count invariant.
-    fn analyze_parallel(&self) -> AnalysisResult {
-        let workers = self.cfg.budget.workers;
-        let start = std::time::Instant::now();
-        let mut arena = ExprArena::new();
-        let vars = InputVars::alloc(&mut arena, &self.cfg.spec);
-        let mut labels = LabelMap::new(self.cp.n_branches());
-        let mut profile = Profile::new(self.cp.n_branches());
-        let mut crashes = Vec::new();
-        let mut solver_calls = 0usize;
-        let mut solver_sat = 0usize;
-        let mut total_instrs = 0u64;
-        let mut concretizations = 0u64;
-        let mut concretization_ranges = 0u64;
-        let mut concretization_pins = 0u64;
-        let mut pin_fallbacks = 0u64;
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let mut prefix_len_saved = 0u64;
-        let mut pcache = PrefixCache::new();
-
-        let mut assignment = self.initial_assignment();
-        let mut frontier = Frontier::new(
-            self.cfg.budget.policy.clone(),
-            self.cfg.budget.max_pendings_per_run,
-            self.cfg.budget.max_pending_lits,
-        );
-        let mut runs = 0usize;
-        let mut exhausted = false;
-        let mut timed_out = false;
-        let wall_expired = |start: &std::time::Instant| {
-            self.cfg.budget.max_wall_ms > 0
-                && start.elapsed().as_millis() as u64 > self.cfg.budget.max_wall_ms
-        };
-
-        // A run produced by a winning speculative solve job, carried
-        // into the next round with the model that drove it.
-        let mut staged: Option<(RunRecord, Vec<i64>)> = None;
-        'explore: loop {
-            let record = match staged.take() {
-                Some((record, model)) => {
-                    assignment = model;
-                    record
-                }
-                None => {
-                    let (record, arena_back) = self.run_once(arena, &vars, &assignment);
-                    arena = arena_back;
-                    record
-                }
-            };
-            labels.merge(&record.labels);
-            profile.merge(&record.profile);
-            total_instrs += record.meter.instrs;
-            concretizations += record.concretizations;
-            concretization_ranges += record.concretization_ranges;
-            concretization_pins += record.concretization_pins;
-            if let RunOutcome::Crashed(info) = &record.outcome {
-                crashes.push(FoundCrash {
-                    info: info.clone(),
-                    argv: record.argv.clone(),
-                    assignment: assignment.clone(),
-                });
-            }
-            runs += 1;
-            if runs >= self.cfg.budget.max_runs {
-                break;
-            }
-            if wall_expired(&start) {
-                timed_out = true;
-                break;
-            }
-
-            // Bank this run's offers (serial; mutates the arena and the
-            // prefix cache, so it happens strictly between speculative
-            // phases — workers only ever read a frozen cache state).
-            self.bank_offers(
-                &record,
-                &assignment,
-                &vars,
-                &mut arena,
-                &mut frontier,
-                &mut pcache,
-            );
-            // Freeze the central generation: worker-side clones (solve
-            // scratch and speculative run arenas) now share the prefix
-            // instead of deep-copying it.
-            arena.freeze();
-
-            // Speculative solve streak.
-            'streak: loop {
-                if !timed_out {
-                    let batch = frontier.pop_batch(workers);
-                    if !batch.is_empty() {
-                        // Parallel phase against the frozen central
-                        // arena; seeds are pre-assigned by commit index
-                        // so committed verdicts match the serial
-                        // engine's.
-                        let base_calls = solver_calls;
-                        let base_nodes = arena.len();
-                        let arena_ref = &arena;
-                        let cache_ref = self.cfg.budget.prefix_cache.then_some(&pcache);
-                        let jobs: Vec<(ConstraintSet, Vec<i64>)> = batch
-                            .iter()
-                            .map(|p| (p.set.cs.clone(), p.set.seed.clone()))
-                            .collect();
-                        let phase = search::pool::parallel_map(workers, jobs, |i, (cs, seed)| {
-                            let scfg = SolveCfg {
-                                seed: mix_seed(self.cfg.seed, (base_calls + i + 1) as u64),
-                                ..self.cfg.solve.clone()
-                            };
-                            let (model, sstats) = solver::solve_or_pin_ro_cached(
-                                arena_ref,
-                                &cs,
-                                Some(&seed),
-                                &scfg,
-                                cache_ref,
-                            );
-                            let run = model.as_ref().map(|m| {
-                                let ctrl = m[..vars.n_controllable as usize].to_vec();
-                                let (rec, job_arena) =
-                                    self.run_once(arena_ref.clone(), &vars, &ctrl);
-                                (rec, job_arena, ctrl)
-                            });
-                            (model.is_some(), sstats, run)
-                        });
-                        frontier.note_worker_runs(&phase.worker_counts);
-
-                        // Commit phase: verdicts strictly in pop order.
-                        let mut pops = batch.into_iter();
-                        let mut outs = phase.results.into_iter();
-                        while let Some(pop) = pops.next() {
-                            let (sat, sstats, spec_run) =
-                                outs.next().expect("one verdict per popped set");
-                            solver_calls += 1;
-                            if sstats.pin_fallback {
-                                pin_fallbacks += 1;
-                            }
-                            if sstats.prefix_hit {
-                                cache_hits += 1;
-                            } else {
-                                cache_misses += 1;
-                            }
-                            prefix_len_saved += sstats.prefix_lits_saved;
-                            let sig = search::signature(&pop.set.cs);
-                            if sat {
-                                solver_sat += 1;
-                                frontier.note_solved_sig(sig, true);
-                                frontier.restore(pops.collect());
-                                let (mut rec, job_arena, ctrl) =
-                                    spec_run.expect("every SAT job carries its run");
-                                // Import the worker's expressions and
-                                // retarget the path at the central ids.
-                                let mut roots = Vec::with_capacity(rec.path.len() * 2);
-                                for st in &rec.path {
-                                    roots.push(st.lit.expr);
-                                    if let Some(rc) = &st.range {
-                                        roots.push(rc.expr);
-                                    }
-                                }
-                                let mapped = arena.absorb(&job_arena, base_nodes, &roots);
-                                let mut mapped = mapped.into_iter();
-                                for st in &mut rec.path {
-                                    st.lit.expr = mapped.next().expect("mapped root");
-                                    if let Some(rc) = &mut st.range {
-                                        rc.expr = mapped.next().expect("mapped root");
-                                    }
-                                }
-                                staged = Some((rec, ctrl));
-                                break 'streak;
-                            }
-                            frontier.note_solved_sig(sig, false);
-                            if wall_expired(&start) {
-                                timed_out = true;
-                                frontier.restore(pops.collect());
-                                continue 'streak;
-                            }
-                        }
-                        continue 'streak;
-                    }
-                }
-
-                // ---- drained (or timed out mid-streak) --------------------
-                if timed_out {
-                    break 'explore;
-                }
-                // Frontier drained before the run budget: restart from
-                // a fresh seed if the policy allows, else we are done.
-                if self.cfg.budget.policy.restart_on_drain && frontier.ever_scheduled() {
-                    let r = frontier.stats().restarts;
-                    frontier.note_restart();
-                    assignment = self.restart_assignment(r);
-                    break 'streak;
-                }
-                exhausted = true;
-                break 'explore;
-            }
-        }
-
-        AnalysisResult {
-            labels,
-            profile,
-            runs,
-            solver_calls,
-            solver_sat,
-            crashes,
-            arena_nodes: arena.len(),
-            total_instrs,
-            concretizations,
-            concretization_ranges,
-            concretization_pins,
-            pin_fallbacks,
-            cache_hits,
-            cache_misses,
-            prefix_len_saved,
-            exhausted,
-            timed_out,
-            frontier: frontier.into_stats(),
-        }
     }
 }
 
@@ -1014,12 +731,11 @@ mod tests {
 
     #[test]
     fn analysis_is_worker_count_invariant() {
-        // The parallel engine commits speculative verdicts strictly in
-        // pop order and absorbs the winning worker's arena back into the
-        // central numbering, so the whole analysis — run/solver counts,
-        // the ordered (signature, verdict) stream, the final arena size,
-        // the profile, even the crash list — is bit-identical for every
-        // worker count.
+        // Workers only solve; verdicts commit strictly in pop order and
+        // every run executes on the one session arena, so the whole
+        // analysis — run/solver counts, the ordered (signature, verdict)
+        // stream, the final arena size, the profile, even the crash
+        // list — is bit-identical for every worker count (0 counts as 1).
         let src = r#"
             int main(int argc, char **argv) {
                 char *s = argv[1];
@@ -1057,7 +773,7 @@ mod tests {
         };
         let serial = run(1);
         assert!(!serial.4.is_empty(), "the analysis must solve sets");
-        for workers in [2, 4] {
+        for workers in [0, 2, 4] {
             assert_eq!(serial, run(workers), "workers={workers} diverged");
         }
     }

@@ -132,10 +132,10 @@ pub struct Workbench {
     /// offset-generalizing region bounds by default,
     /// [`Concretization::Pin`] for the classic equality pins.
     pub concretization: Concretization,
-    /// Worker threads for the candidate search in both engines. `1` (the
-    /// default) is the fully serial path; `N > 1` solves speculatively
-    /// popped pending sets concurrently, committing strictly in pop
-    /// order — results are identical for every worker count.
+    /// Solver threads in both engines (default 1; 0 counts as 1). Each
+    /// solve streak solves up to this many popped pending sets at once
+    /// and commits the verdicts strictly in pop order; runs stay on the
+    /// calling thread. Results are identical for every worker count.
     pub workers: usize,
     /// Path-prefix solve cache in both engines (on by default). Every
     /// cached shortcut is provably outcome-identical, so turning this
@@ -168,7 +168,7 @@ impl Workbench {
         scfg.budget.max_runs = max_runs;
         scfg.budget.policy = self.policy.clone();
         scfg.budget.concretization = self.concretization;
-        scfg.budget.workers = self.workers.max(1);
+        scfg.budget.workers = self.workers;
         scfg.budget.prefix_cache = self.cache;
         scfg.seed = self.seed;
         let dyn_result = Engine::new(&self.cp, scfg).analyze();
@@ -411,7 +411,7 @@ impl Workbench {
         rcfg.budget.max_runs = max_runs;
         rcfg.budget.policy = self.policy.clone();
         rcfg.budget.concretization = self.concretization;
-        rcfg.budget.workers = self.workers.max(1);
+        rcfg.budget.workers = self.workers;
         rcfg.budget.prefix_cache = self.cache;
         rcfg.seed = seed;
         ReplayEngine::new(&self.cp, plan.clone(), report.clone(), rcfg).reproduce()

@@ -1,13 +1,10 @@
 //! [`PlanBuilder`]: the one front door for constructing instrumentation
 //! plans.
 //!
-//! The previous API grew by accretion: `Plan::build` then
-//! `.with_suppression(..)` then `.with_cursor_opt_in(..)` then
-//! `.with_format(..)`, in whatever order the call site happened to pick
-//! — and the order mattered (cursor opt-in inspects the *suppressed*
-//! plan; a format override before opt-in gets silently overwritten).
-//! The builder takes the same ingredients declaratively and applies
-//! them in one fixed order:
+//! Plan construction has several steps whose order matters (cursor
+//! opt-in inspects the *suppressed* plan; a format override before
+//! opt-in would be silently overwritten). The builder takes the
+//! ingredients declaratively and applies them in one fixed order:
 //!
 //! 1. base plan from method + analysis labels (§2.3 rules),
 //! 2. implication suppression,
@@ -83,8 +80,9 @@ impl<'a> PlanBuilder<'a> {
         self
     }
 
-    /// Applies implication suppression from `staticax`'s analysis (see
-    /// the deprecated `Plan::with_suppression` for semantics).
+    /// Applies implication suppression from `staticax`'s analysis:
+    /// every branch whose implier is also in the base instrumented set
+    /// is dropped from the log and reconstructed at replay.
     pub fn suppress<I>(mut self, implications: I) -> Self
     where
         I: IntoIterator<Item = (BranchId, BranchId, bool)>,
@@ -154,18 +152,6 @@ mod tests {
                 func: func.to_string(),
             })
             .collect()
-    }
-
-    #[test]
-    fn builder_matches_the_legacy_chain() {
-        #![allow(deprecated)]
-        let (d, s) = labels();
-        let implications = [(BranchId(2), BranchId(0), false)];
-        let legacy = Plan::build(Method::Static, &d, &s, 6).with_suppression(implications);
-        let built = PlanBuilder::new(Method::Static, &d, &s, 6)
-            .suppress(implications)
-            .build();
-        assert_eq!(legacy, built);
     }
 
     #[test]

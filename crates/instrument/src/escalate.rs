@@ -286,8 +286,7 @@ mod tests {
 
     #[test]
     fn hot_suppressed_branch_is_logged_directly_again() {
-        #[allow(deprecated)]
-        let p = base_plan().with_suppression([(BranchId(4), BranchId(0), false)]);
+        let p = base_plan().apply_suppression([(BranchId(4), BranchId(0), false)]);
         assert_eq!(
             p.suppresses(BranchId(4)),
             Some(Suppressed {

@@ -210,20 +210,6 @@ impl Plan {
     /// along a chain that bottoms out in a logged branch — strict
     /// dominance makes chains acyclic), so replay loses no divergence
     /// signal and run counts cannot get worse.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PlanBuilder::suppress` — the builder applies suppression, \
-                cursor opt-in and escalation in a fixed, footgun-free order"
-    )]
-    pub fn with_suppression<I>(self, implications: I) -> Plan
-    where
-        I: IntoIterator<Item = (BranchId, BranchId, bool)>,
-    {
-        self.apply_suppression(implications)
-    }
-
-    /// Internal suppression applier shared by the deprecated
-    /// [`Plan::with_suppression`] shim and [`crate::PlanBuilder`].
     pub(crate) fn apply_suppression<I>(mut self, implications: I) -> Plan
     where
         I: IntoIterator<Item = (BranchId, BranchId, bool)>,
@@ -296,20 +282,6 @@ impl Plan {
     /// instrumented loop cluster), keep the flat format — bit for bit —
     /// everywhere else. Fully-logged and single-analysis plans never
     /// switch, so their baselines stay untouched.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PlanBuilder::cursor_opt_in` — the builder applies suppression, \
-                cursor opt-in and escalation in a fixed, footgun-free order"
-    )]
-    pub fn with_cursor_opt_in<'a>(
-        self,
-        branches: impl IntoIterator<Item = &'a BranchInfo>,
-    ) -> Plan {
-        self.apply_cursor_opt_in(branches)
-    }
-
-    /// Internal cursor opt-in applier shared by the deprecated
-    /// [`Plan::with_cursor_opt_in`] shim and [`crate::PlanBuilder`].
     pub(crate) fn apply_cursor_opt_in<'a>(
         mut self,
         branches: impl IntoIterator<Item = &'a BranchInfo>,
@@ -352,10 +324,6 @@ impl Plan {
 
 #[cfg(test)]
 mod tests {
-    // The builder shims stay deprecated-but-pinned: these tests are the
-    // behavioral contract the wrappers must keep satisfying.
-    #![allow(deprecated)]
-
     use super::*;
 
     fn labels() -> (Vec<DynLabel>, Vec<bool>) {
@@ -459,7 +427,7 @@ mod tests {
         };
         assert!(plan.has_partial_loop_cluster(&infos));
         assert_eq!(
-            plan.with_cursor_opt_in(&infos).format,
+            plan.apply_cursor_opt_in(&infos).format,
             LogFormat::PerLocation
         );
     }
@@ -479,7 +447,7 @@ mod tests {
             checkpoints: false,
             forced_literals: Vec::new(),
         };
-        assert_eq!(full.with_cursor_opt_in(&infos).format, LogFormat::Flat);
+        assert_eq!(full.apply_cursor_opt_in(&infos).format, LogFormat::Flat);
         // The unlogged loop lives in a cluster with no logged branch.
         let disjoint = Plan {
             method: Method::DynamicStatic,
@@ -491,7 +459,7 @@ mod tests {
             checkpoints: false,
             forced_literals: Vec::new(),
         };
-        assert_eq!(disjoint.with_cursor_opt_in(&infos).format, LogFormat::Flat);
+        assert_eq!(disjoint.apply_cursor_opt_in(&infos).format, LogFormat::Flat);
         // Non-combined methods never switch, even with the fragile shape.
         let dynamic = Plan {
             method: Method::Dynamic,
@@ -503,7 +471,7 @@ mod tests {
             checkpoints: false,
             forced_literals: Vec::new(),
         };
-        assert_eq!(dynamic.with_cursor_opt_in(&infos).format, LogFormat::Flat);
+        assert_eq!(dynamic.apply_cursor_opt_in(&infos).format, LogFormat::Flat);
     }
 
     #[test]
@@ -564,7 +532,7 @@ mod tests {
     fn suppression_moves_branches_out_of_the_logged_set() {
         let (d, s) = labels();
         // Static plan logs {0, 2, 4}; say 2 and 4 are implied by 0.
-        let p = Plan::build(Method::Static, &d, &s, 6).with_suppression([
+        let p = Plan::build(Method::Static, &d, &s, 6).apply_suppression([
             (BranchId(2), BranchId(0), false),
             (BranchId(4), BranchId(0), true),
         ]);
@@ -593,7 +561,7 @@ mod tests {
         // Static logs {0, 2, 4}: branch 1 is NOT in the base set, so an
         // implication rooted at it must not suppress anything; nor may a
         // non-instrumented branch (3) be suppressed.
-        let p = Plan::build(Method::Static, &d, &s, 6).with_suppression([
+        let p = Plan::build(Method::Static, &d, &s, 6).apply_suppression([
             (BranchId(2), BranchId(1), false),
             (BranchId(3), BranchId(0), false),
         ]);
@@ -607,7 +575,7 @@ mod tests {
         // 2 implied by 0, 4 implied by 2 (which is itself suppressed):
         // both suppressions stand, because membership is checked against
         // the BASE set — the chain bottoms out at logged branch 0.
-        let p = Plan::build(Method::Static, &d, &s, 6).with_suppression([
+        let p = Plan::build(Method::Static, &d, &s, 6).apply_suppression([
             (BranchId(2), BranchId(0), false),
             (BranchId(4), BranchId(2), true),
         ]);
@@ -619,7 +587,7 @@ mod tests {
     #[test]
     fn suppressed_plan_roundtrips_through_serde() {
         let (d, s) = labels();
-        let p = Plan::build(Method::Static, &d, &s, 6).with_suppression([(
+        let p = Plan::build(Method::Static, &d, &s, 6).apply_suppression([(
             BranchId(2),
             BranchId(0),
             true,
@@ -646,8 +614,8 @@ mod tests {
             checkpoints: false,
             forced_literals: Vec::new(),
         }
-        .with_suppression([(BranchId(0), BranchId(1), false)]);
+        .apply_suppression([(BranchId(0), BranchId(1), false)]);
         assert!(!plan.has_partial_loop_cluster(&infos));
-        assert_eq!(plan.with_cursor_opt_in(&infos).format, LogFormat::Flat);
+        assert_eq!(plan.apply_cursor_opt_in(&infos).format, LogFormat::Flat);
     }
 }

@@ -21,92 +21,18 @@ use crate::host::{
     SYSCALL_DIVERGENCE,
 };
 use concolic::{
-    restart_seed, seeded_assignment, Concretization, InputSpec, InputVars, PathStep, StepOrigin,
+    restart_seed, seeded_assignment, Budget, InputSpec, InputVars, PathStep, StepOrigin,
 };
 use instrument::{BugReport, Plan};
 use minic::memory::pack;
 use minic::vm::{RunOutcome, Vm};
 use minic::CompiledProgram;
 use oskit::SimFs;
-use search::{Frontier, FrontierStats, RepairTracker, SearchLimits, SearchPolicy};
-use solver::{mix_seed, ConstraintSet, ExprArena, Lit, Node, Op, PrefixCache, SolveCfg, VarId};
+use search::{Frontier, FrontierStats, RepairTracker, SolveCtx, SolveTally, Streak, Tail};
+use solver::{ConstraintSet, ExprArena, Lit, Node, Op, PrefixCache, SolveCfg, VarId};
 use std::collections::{HashMap, HashSet};
 
 pub use crate::escalation::{EscalationReport, LocationEscalation};
-
-/// Budget for one reproduction attempt. `max_runs` is the deterministic
-/// stand-in for the paper's 1-hour replay timeout. The knob surface
-/// shared with `concolic::Budget` lives in [`search::SearchLimits`],
-/// embedded behind `Deref` so `budget.max_runs` and friends read and
-/// write exactly as before the unification; only the replay default
-/// (512 runs — a replay that stops short is useless) differs.
-#[derive(Debug, Clone)]
-pub struct ReplayBudget {
-    /// The shared search knobs (run cap, fuel, wall clock, frontier
-    /// caps, policy, workers, prefix cache).
-    pub limits: SearchLimits,
-    /// How symbolic address components are concretized (offset-
-    /// generalizing region bounds by default). Engine-specific: not
-    /// part of the shared limits.
-    pub concretization: Concretization,
-}
-
-impl Default for ReplayBudget {
-    fn default() -> Self {
-        ReplayBudget {
-            limits: SearchLimits::replay(),
-            concretization: Concretization::default(),
-        }
-    }
-}
-
-impl std::ops::Deref for ReplayBudget {
-    type Target = SearchLimits;
-    fn deref(&self) -> &SearchLimits {
-        &self.limits
-    }
-}
-
-impl std::ops::DerefMut for ReplayBudget {
-    fn deref_mut(&mut self) -> &mut SearchLimits {
-        &mut self.limits
-    }
-}
-
-impl From<SearchLimits> for ReplayBudget {
-    fn from(limits: SearchLimits) -> Self {
-        ReplayBudget {
-            limits,
-            ..ReplayBudget::default()
-        }
-    }
-}
-
-impl From<ReplayBudget> for SearchLimits {
-    fn from(b: ReplayBudget) -> Self {
-        b.limits
-    }
-}
-
-impl ReplayBudget {
-    /// Sets the run cap.
-    #[deprecated(note = "write `budget.max_runs` (via SearchLimits) directly")]
-    pub fn set_max_runs(&mut self, n: usize) {
-        self.limits.max_runs = n;
-    }
-
-    /// Sets the worker count.
-    #[deprecated(note = "write `budget.workers` (via SearchLimits) directly")]
-    pub fn set_workers(&mut self, n: usize) {
-        self.limits.workers = n;
-    }
-
-    /// Sets the scheduling policy.
-    #[deprecated(note = "write `budget.policy` (via SearchLimits) directly")]
-    pub fn set_policy(&mut self, policy: SearchPolicy) {
-        self.limits.policy = policy;
-    }
-}
 
 /// Configuration of a reproduction attempt.
 #[derive(Debug, Clone)]
@@ -116,8 +42,9 @@ pub struct ReplayConfig {
     pub spec: InputSpec,
     /// Replica of the deployment filesystem (concrete parts).
     pub base_fs: SimFs,
-    /// Search budget.
-    pub budget: ReplayBudget,
+    /// Search budget ([`Budget::replay`] by default: 512 runs, the
+    /// deterministic stand-in for the paper's 1-hour replay timeout).
+    pub budget: Budget,
     /// Solver configuration.
     pub solve: SolveCfg,
     /// Seed for the initial candidate input.
@@ -135,7 +62,7 @@ impl ReplayConfig {
         ReplayConfig {
             spec,
             base_fs: SimFs::new(),
-            budget: ReplayBudget::default(),
+            budget: Budget::replay(),
             solve: SolveCfg::default(),
             seed: 11,
             initial_hint: None,
@@ -144,7 +71,7 @@ impl ReplayConfig {
 }
 
 /// Outcome of a reproduction attempt.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplayResult {
     /// True if the bug was reproduced within budget.
     pub reproduced: bool,
@@ -215,7 +142,15 @@ pub struct ReplayEngine<'p> {
 impl<'p> ReplayEngine<'p> {
     /// Creates an engine from the developer-retained plan and the
     /// shipped bug report.
-    pub fn new(cp: &'p CompiledProgram, plan: Plan, report: BugReport, cfg: ReplayConfig) -> Self {
+    pub fn new(
+        cp: &'p CompiledProgram,
+        plan: Plan,
+        mut report: BugReport,
+        cfg: ReplayConfig,
+    ) -> Self {
+        // The report may have been deserialized from external JSON; the
+        // cursor lookups rely on the sorted-unique stream invariant.
+        report.trace.normalize();
         ReplayEngine {
             cp,
             plan,
@@ -262,22 +197,6 @@ impl<'p> ReplayEngine<'p> {
         seeded_assignment(n, restart_seed(self.cfg.seed, r))
     }
 
-    /// Runs the guided search to completion or budget exhaustion.
-    ///
-    /// `budget.workers <= 1` runs the fully serial engine; larger values
-    /// shard the candidate search across that many worker threads (the
-    /// internal `reproduce_parallel` path). Both produce the same
-    /// search — the parallel engine commits speculative work strictly in
-    /// the serial order — so every result field except `wall_ms` and the
-    /// per-worker run split is worker-count invariant.
-    pub fn reproduce(&self) -> ReplayResult {
-        if self.cfg.budget.workers <= 1 {
-            self.reproduce_serial()
-        } else {
-            self.reproduce_parallel()
-        }
-    }
-
     /// Executes one replay run under `assignment`, threading the arena
     /// through. `run_no` only labels `RETRACE_REPLAY_TRACE` output.
     fn exec_run(
@@ -312,14 +231,14 @@ impl<'p> ReplayEngine<'p> {
         let mut host = ReplayHost::new(
             arena,
             env,
-            self.plan.clone(),
-            self.report.trace.clone(),
+            &self.plan,
+            &self.report.trace,
             vars.clone(),
             self.report.crash.loc,
         );
         host.concretization = self.cfg.budget.concretization;
         if self.plan.checkpoints {
-            host.checkpoints = self.report.checkpoints.clone();
+            host.checkpoints = &self.report.checkpoints;
         }
         let mut vm = Vm::new(self.cp, host);
         vm.fuel = self.cfg.budget.fuel_per_run;
@@ -384,9 +303,8 @@ impl<'p> ReplayEngine<'p> {
     /// Banks one finished run into the frontier: recovery sets for
     /// syscall divergences and cursor overruns, the standard negated-
     /// literal pendings, and the forced set (with its repair metadata in
-    /// `book`). Identical for the serial and parallel engines — the
-    /// parallel engine calls it from the serial commit phase only, which
-    /// also makes it the prefix cache's single writer.
+    /// `book`). Runs only between solve streaks, which makes it the
+    /// prefix cache's single writer.
     #[allow(clippy::too_many_arguments)]
     fn bank_offers(
         &self,
@@ -691,18 +609,19 @@ impl<'p> ReplayEngine<'p> {
         }
     }
 
-    /// Handles an UNSAT verdict for the set with signature `sig`: when
-    /// it was a registered forced set, account the thrash burst and (on
-    /// a burst) queue the repair ladder. The parallel engine must call
-    /// this only after restoring any speculatively popped tail — a
-    /// ladder offer mutates the frontier.
-    fn handle_unsat(&self, sig: u128, frontier: &mut Frontier, book: &mut RepairBook) {
+    /// The solve streak's UNSAT hook: when the set with signature `sig`
+    /// was a registered forced set, account the thrash burst and (on a
+    /// burst) queue the repair ladder. Only a forced set touches the
+    /// frontier, so only a forced set pulls back the streak's
+    /// speculative tail.
+    fn handle_unsat(&self, sig: u128, tail: &mut Tail<'_>, book: &mut RepairBook) {
         // A forced set went UNSAT: on a burst, backtrack to the
         // earliest unlogged suspect (attempt k starts the ladder
         // at the k-th rung; dedup walks past already-explored
         // flips) and queue the repaired prefix on the priority
         // lane.
         if let Some(info) = book.forced_meta.get(&sig) {
+            let frontier = tail.frontier();
             frontier.note_forced_unsat();
             // Escalation evidence: charge the UNSAT to the stalled
             // location — decoded from a per-location burst key, or the
@@ -742,49 +661,35 @@ impl<'p> ReplayEngine<'p> {
         }
     }
 
-    fn reproduce_serial(&self) -> ReplayResult {
+    /// Runs the guided search to completion or budget exhaustion.
+    ///
+    /// Each round runs the current candidate, checks for the crash,
+    /// banks the run's offers and asks [`search::solve_next`] for the
+    /// next candidate; forced-set UNSAT verdicts reach the repair ladder
+    /// through the streak's UNSAT hook. `budget.workers` only sets how
+    /// many pending sets a streak solves at once, so every result field
+    /// except `wall_ms` and the per-worker solve split is worker-count
+    /// invariant.
+    pub fn reproduce(&self) -> ReplayResult {
         let start = std::time::Instant::now();
+        let limits = &self.cfg.budget.limits;
         let mut arena = ExprArena::new();
         let vars = InputVars::alloc(&mut arena, &self.cfg.spec);
         let n_controllable = vars.n_controllable as usize;
         let mut assignment = self.initial_assignment(n_controllable);
-
         let mut frontier = Frontier::new(
-            self.cfg.budget.policy.clone(),
-            self.cfg.budget.max_pendings_per_run,
-            self.cfg.budget.max_pending_lits,
+            limits.policy.clone(),
+            limits.max_pendings_per_run,
+            limits.max_pending_lits,
         );
-        let mut runs = 0usize;
-        let mut solver_calls = 0usize;
-        let mut total_instrs = 0u64;
-        let mut total_units = 0u64;
-        let mut syscall_divergences = 0u64;
-        let mut cursor_overruns = 0u64;
-        let mut checkpoint_divergences = 0u64;
-        let mut concretization_ranges = 0u64;
-        let mut concretization_pins = 0u64;
-        let mut pin_fallbacks = 0u64;
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let mut prefix_len_saved = 0u64;
+        let mut res = ReplayResult::default();
+        let mut tally = SolveTally::default();
         let mut pcache = PrefixCache::new();
-        // Forced-set repair state: metadata per queued forced set, thrash
-        // accounting per shared prefix key, and the log high-water mark
-        // that defines "progress" (bursts only accumulate while it
-        // stands still).
         let mut book = RepairBook::new();
         // High-water mark at the last dedup reset: a drain only earns a
         // fresh re-derivation epoch after visible progress, so resets
         // cannot loop.
         let mut reset_high_water = u64::MAX;
-        let mut timed_out = false;
-        #[allow(unused_assignments)]
-        let mut last_stats = crate::host::ReplayRunStats::default();
-        let wall_expired = |start: &std::time::Instant| {
-            self.cfg.budget.max_wall_ms > 0
-                && start.elapsed().as_millis() as u64 > self.cfg.budget.max_wall_ms
-        };
-
         let syscall_mode = if self.report.syscalls.is_empty() {
             SyscallMode::Modeled
         } else {
@@ -794,14 +699,14 @@ impl<'p> ReplayEngine<'p> {
         loop {
             // ---- one replay run -------------------------------------------
             let (run, arena_back) =
-                self.exec_run(arena, &assignment, &syscall_mode, &vars, runs + 1);
+                self.exec_run(arena, &assignment, &syscall_mode, &vars, res.runs + 1);
             arena = arena_back;
-            runs += 1;
-            total_instrs += run.instrs;
-            total_units += run.units;
-            last_stats = run.stats.clone();
-            concretization_ranges += last_stats.concretization_ranges;
-            concretization_pins += last_stats.concretization_pins;
+            res.runs += 1;
+            res.total_instrs += run.instrs;
+            res.total_units += run.units;
+            res.concretization_ranges += run.stats.concretization_ranges;
+            res.concretization_pins += run.stats.concretization_pins;
+            res.last_run_stats = run.stats.clone();
             // Escalation evidence: which instrumented locations this run
             // actually consumed log bits from.
             book.escalation
@@ -810,68 +715,24 @@ impl<'p> ReplayEngine<'p> {
 
             // ---- success checks --------------------------------------------
             if self.is_success(&run) {
-                let mut escalation = std::mem::take(&mut book.escalation);
-                escalation.runs = runs;
-                return ReplayResult {
-                    reproduced: true,
-                    runs,
-                    solver_calls,
-                    total_instrs,
-                    total_units,
-                    wall_ms: start.elapsed().as_millis() as u64,
-                    witness_argv: Some(run.argv),
-                    witness_assignment: Some(assignment),
-                    timed_out: false,
-                    exhausted: false,
-                    syscall_divergences,
-                    cursor_overruns,
-                    checkpoint_divergences,
-                    escalation,
-                    concretization_ranges,
-                    concretization_pins,
-                    pin_fallbacks,
-                    cache_hits,
-                    cache_misses,
-                    prefix_len_saved,
-                    frontier: frontier.into_stats(),
-                    last_run_stats: last_stats,
-                };
+                res.reproduced = true;
+                res.witness_argv = Some(run.argv);
+                res.witness_assignment = Some(assignment);
+                break;
             }
-            if runs >= self.cfg.budget.max_runs || wall_expired(&start) {
-                return self.failed(
-                    runs,
-                    solver_calls,
-                    total_instrs,
-                    total_units,
-                    start,
-                    Outcome {
-                        timed_out: true,
-                        exhausted: false,
-                        syscall_divergences,
-                        cursor_overruns,
-                        checkpoint_divergences,
-                        escalation: taken(&mut book, runs),
-                        concretization_ranges,
-                        concretization_pins,
-                        pin_fallbacks,
-                        cache_hits,
-                        cache_misses,
-                        prefix_len_saved,
-                        frontier: frontier.into_stats(),
-                    },
-                    last_stats,
-                );
+            if res.runs >= limits.max_runs || limits.wall_expired(start) {
+                res.timed_out = true;
+                break;
             }
 
             // ---- schedule pending sets -------------------------------------
-            if matches!(&run.outcome, RunOutcome::Aborted(r) if r == SYSCALL_DIVERGENCE) {
-                syscall_divergences += 1;
-            }
-            if matches!(&run.outcome, RunOutcome::Aborted(r) if r == CURSOR_OVERRUN) {
-                cursor_overruns += 1;
-            }
-            if matches!(&run.outcome, RunOutcome::Aborted(r) if r == CHECKPOINT_DIVERGENCE) {
-                checkpoint_divergences += 1;
+            match &run.outcome {
+                RunOutcome::Aborted(r) if r == SYSCALL_DIVERGENCE => res.syscall_divergences += 1,
+                RunOutcome::Aborted(r) if r == CURSOR_OVERRUN => res.cursor_overruns += 1,
+                RunOutcome::Aborted(r) if r == CHECKPOINT_DIVERGENCE => {
+                    res.checkpoint_divergences += 1
+                }
+                _ => {}
             }
             self.bank_offers(
                 &run,
@@ -882,478 +743,66 @@ impl<'p> ReplayEngine<'p> {
                 &mut book,
                 &mut pcache,
             );
+            // Freeze the generation the solves share.
             arena.freeze();
 
-            // ---- pick and solve the next pending set -----------------------
-            let mut next = None;
-            while let Some(pending) = frontier.pop() {
-                solver_calls += 1;
-                let scfg = SolveCfg {
-                    seed: mix_seed(self.cfg.seed, solver_calls as u64),
-                    ..self.cfg.solve.clone()
-                };
-                let sig = search::signature(&pending.cs);
-                let (model, sstats) = solver::solve_or_pin_ro_cached(
-                    &arena,
-                    &pending.cs,
-                    Some(&pending.seed),
-                    &scfg,
-                    self.cfg.budget.prefix_cache.then_some(&pcache),
-                );
-                if sstats.pin_fallback {
-                    pin_fallbacks += 1;
-                }
-                if sstats.prefix_hit {
-                    cache_hits += 1;
-                } else {
-                    cache_misses += 1;
-                }
-                prefix_len_saved += sstats.prefix_lits_saved;
-                if let Some(model) = model {
-                    frontier.note_solved_sig(sig, true);
-                    next = Some(model);
+            // ---- solve the next pending set --------------------------------
+            let ctx = SolveCtx {
+                arena: &arena,
+                cache: &pcache,
+                solve: &self.cfg.solve,
+                seed: self.cfg.seed,
+                limits,
+                start,
+            };
+            let streak = search::solve_next(&mut frontier, &ctx, &mut tally, |sig, tail| {
+                self.handle_unsat(sig, tail, &mut book)
+            });
+            match streak {
+                Streak::Model(model) => assignment = model,
+                Streak::TimedOut => {
+                    res.timed_out = true;
                     break;
                 }
-                frontier.note_solved_sig(sig, false);
-                self.handle_unsat(sig, &mut frontier, &mut book);
-                if wall_expired(&start) {
-                    timed_out = true;
-                    break;
-                }
-            }
-            match next {
-                Some(model) => assignment = model,
-                None => {
-                    // Drained mid-budget: restart from a fresh seed if the
-                    // policy allows; otherwise, if the search has made
-                    // progress since the last reset, forget the dedup
-                    // table and re-derive from the current candidate (the
-                    // suppressed sets were solved against seeds that have
-                    // long since moved on). Only then report exhaustion
-                    // (or the wall timeout that cut the solve loop
-                    // short).
-                    if !timed_out
-                        && self.cfg.budget.policy.restart_on_drain
-                        && frontier.ever_scheduled()
-                    {
+                // Drained mid-budget: restart from a fresh seed if the
+                // policy allows; otherwise, if the search has made
+                // progress since the last reset, forget the dedup table
+                // and re-derive from the current candidate (the
+                // suppressed sets were solved against seeds that have
+                // long since moved on). Only then report exhaustion.
+                Streak::Drained => {
+                    if limits.policy.restart_on_drain && frontier.ever_scheduled() {
                         let r = frontier.stats().restarts;
                         frontier.note_restart();
                         assignment = self.restart_assignment(n_controllable, r);
-                        continue;
-                    }
-                    if !timed_out
-                        && frontier.ever_scheduled()
+                    } else if frontier.ever_scheduled()
                         && (reset_high_water == u64::MAX || book.bits_high_water > reset_high_water)
                     {
                         reset_high_water = book.bits_high_water;
                         frontier.reset_dedup();
-                        continue;
-                    }
-                    return self.failed(
-                        runs,
-                        solver_calls,
-                        total_instrs,
-                        total_units,
-                        start,
-                        Outcome {
-                            timed_out,
-                            exhausted: !timed_out,
-                            syscall_divergences,
-                            cursor_overruns,
-                            checkpoint_divergences,
-                            escalation: taken(&mut book, runs),
-                            concretization_ranges,
-                            concretization_pins,
-                            pin_fallbacks,
-                            cache_hits,
-                            cache_misses,
-                            prefix_len_saved,
-                            frontier: frontier.into_stats(),
-                        },
-                        last_stats,
-                    );
-                }
-            }
-        }
-    }
-
-    /// The parallel engine: the shared frontier stays the single source
-    /// of scheduling truth, and `workers` threads speculate on the work
-    /// it hands out.
-    ///
-    /// Each round pops up to `workers` pending sets ([`Frontier::
-    /// pop_batch`]); every worker solves its set against the shared
-    /// *read-only* arena (`solve_or_pin_ro` — pin fallbacks clone
-    /// privately) and, on SAT, immediately replays the model on its own
-    /// `minic::Vm` over a private arena clone. The verdicts are then
-    /// committed serially in pop order: the first verdict that would
-    /// mutate the frontier (a SAT model ends the solve streak; a forced
-    /// UNSAT may queue a repair) first restores the unconsumed tail
-    /// ([`Frontier::restore`]), so the frontier evolves exactly as the
-    /// serial engine's would and later speculation is merely discarded,
-    /// never observed. A committed SAT run's private arena is absorbed
-    /// back into the central one ([`ExprArena::absorb`]); because the
-    /// central arena never changes during a speculative phase, the
-    /// absorption reproduces the worker's numbering and the session
-    /// stays bit-identical to the serial engine — which is what the
-    /// worker-count invariance suite pins.
-    fn reproduce_parallel(&self) -> ReplayResult {
-        let workers = self.cfg.budget.workers;
-        let start = std::time::Instant::now();
-        let mut arena = ExprArena::new();
-        let vars = InputVars::alloc(&mut arena, &self.cfg.spec);
-        let n_controllable = vars.n_controllable as usize;
-        let mut assignment = self.initial_assignment(n_controllable);
-
-        let mut frontier = Frontier::new(
-            self.cfg.budget.policy.clone(),
-            self.cfg.budget.max_pendings_per_run,
-            self.cfg.budget.max_pending_lits,
-        );
-        let mut runs = 0usize;
-        let mut solver_calls = 0usize;
-        let mut total_instrs = 0u64;
-        let mut total_units = 0u64;
-        let mut syscall_divergences = 0u64;
-        let mut cursor_overruns = 0u64;
-        let mut checkpoint_divergences = 0u64;
-        let mut concretization_ranges = 0u64;
-        let mut concretization_pins = 0u64;
-        let mut pin_fallbacks = 0u64;
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let mut prefix_len_saved = 0u64;
-        let mut pcache = PrefixCache::new();
-        let mut book = RepairBook::new();
-        let mut reset_high_water = u64::MAX;
-        let mut timed_out = false;
-        #[allow(unused_assignments)]
-        let mut last_stats = crate::host::ReplayRunStats::default();
-        let wall_expired = |start: &std::time::Instant| {
-            self.cfg.budget.max_wall_ms > 0
-                && start.elapsed().as_millis() as u64 > self.cfg.budget.max_wall_ms
-        };
-
-        let syscall_mode = if self.report.syscalls.is_empty() {
-            SyscallMode::Modeled
-        } else {
-            SyscallMode::Logged(self.report.syscalls.clone())
-        };
-
-        // A run produced by a winning speculative solve job, carried
-        // into the next round together with the model that drove it.
-        let mut staged_run: Option<(RunArtifacts, Vec<i64>)> = None;
-        loop {
-            // ---- one replay run (serial unless a worker already ran it)
-            let run = match staged_run.take() {
-                Some((run, model)) => {
-                    assignment = model;
-                    run
-                }
-                None => {
-                    let (run, arena_back) =
-                        self.exec_run(arena, &assignment, &syscall_mode, &vars, runs + 1);
-                    arena = arena_back;
-                    run
-                }
-            };
-            runs += 1;
-            total_instrs += run.instrs;
-            total_units += run.units;
-            last_stats = run.stats.clone();
-            concretization_ranges += last_stats.concretization_ranges;
-            concretization_pins += last_stats.concretization_pins;
-            // Escalation evidence: which instrumented locations this run
-            // actually consumed log bits from.
-            book.escalation
-                .consulted
-                .extend(run.stats.consulted.iter().copied());
-
-            // ---- success checks -------------------------------------------
-            if self.is_success(&run) {
-                let mut escalation = std::mem::take(&mut book.escalation);
-                escalation.runs = runs;
-                return ReplayResult {
-                    reproduced: true,
-                    runs,
-                    solver_calls,
-                    total_instrs,
-                    total_units,
-                    wall_ms: start.elapsed().as_millis() as u64,
-                    witness_argv: Some(run.argv),
-                    witness_assignment: Some(assignment),
-                    timed_out: false,
-                    exhausted: false,
-                    syscall_divergences,
-                    cursor_overruns,
-                    checkpoint_divergences,
-                    escalation,
-                    concretization_ranges,
-                    concretization_pins,
-                    pin_fallbacks,
-                    cache_hits,
-                    cache_misses,
-                    prefix_len_saved,
-                    frontier: frontier.into_stats(),
-                    last_run_stats: last_stats,
-                };
-            }
-            if runs >= self.cfg.budget.max_runs || wall_expired(&start) {
-                return self.failed(
-                    runs,
-                    solver_calls,
-                    total_instrs,
-                    total_units,
-                    start,
-                    Outcome {
-                        timed_out: true,
-                        exhausted: false,
-                        syscall_divergences,
-                        cursor_overruns,
-                        checkpoint_divergences,
-                        escalation: taken(&mut book, runs),
-                        concretization_ranges,
-                        concretization_pins,
-                        pin_fallbacks,
-                        cache_hits,
-                        cache_misses,
-                        prefix_len_saved,
-                        frontier: frontier.into_stats(),
-                    },
-                    last_stats,
-                );
-            }
-
-            // ---- bank the run (serial commit) -----------------------------
-            if matches!(&run.outcome, RunOutcome::Aborted(r) if r == SYSCALL_DIVERGENCE) {
-                syscall_divergences += 1;
-            }
-            if matches!(&run.outcome, RunOutcome::Aborted(r) if r == CURSOR_OVERRUN) {
-                cursor_overruns += 1;
-            }
-            if matches!(&run.outcome, RunOutcome::Aborted(r) if r == CHECKPOINT_DIVERGENCE) {
-                checkpoint_divergences += 1;
-            }
-            self.bank_offers(
-                &run,
-                &assignment,
-                &mut arena,
-                &vars,
-                &mut frontier,
-                &mut book,
-                &mut pcache,
-            );
-            // Freeze the central generation: worker-side clones (solve
-            // scratch and speculative run arenas) now share the prefix
-            // instead of deep-copying it.
-            arena.freeze();
-
-            // ---- speculative solve streak ---------------------------------
-            'streak: loop {
-                if !timed_out {
-                    let batch = frontier.pop_batch(workers);
-                    if !batch.is_empty() {
-                        // Parallel phase: solve each popped set (and run
-                        // its model on SAT) against the frozen central
-                        // arena. Seeds are pre-assigned by commit index so
-                        // committed verdicts match the serial engine's.
-                        let base_calls = solver_calls;
-                        let base_nodes = arena.len();
-                        let arena_ref = &arena;
-                        let cache_ref = self.cfg.budget.prefix_cache.then_some(&pcache);
-                        let jobs: Vec<(ConstraintSet, Vec<i64>)> = batch
-                            .iter()
-                            .map(|p| (p.set.cs.clone(), p.set.seed.clone()))
-                            .collect();
-                        let phase = search::pool::parallel_map(workers, jobs, |i, (cs, seed)| {
-                            let scfg = SolveCfg {
-                                seed: mix_seed(self.cfg.seed, (base_calls + i + 1) as u64),
-                                ..self.cfg.solve.clone()
-                            };
-                            let (model, sstats) = solver::solve_or_pin_ro_cached(
-                                arena_ref,
-                                &cs,
-                                Some(&seed),
-                                &scfg,
-                                cache_ref,
-                            );
-                            let run = model.as_ref().map(|m| {
-                                self.exec_run(arena_ref.clone(), m, &syscall_mode, &vars, runs + 1)
-                            });
-                            (model, sstats, run)
-                        });
-                        frontier.note_worker_runs(&phase.worker_counts);
-
-                        // Commit phase: verdicts strictly in pop order.
-                        let mut pops = batch.into_iter();
-                        let mut outs = phase.results.into_iter();
-                        while let Some(pop) = pops.next() {
-                            let (model, sstats, spec_run) =
-                                outs.next().expect("one verdict per popped set");
-                            solver_calls += 1;
-                            if sstats.pin_fallback {
-                                pin_fallbacks += 1;
-                            }
-                            if sstats.prefix_hit {
-                                cache_hits += 1;
-                            } else {
-                                cache_misses += 1;
-                            }
-                            prefix_len_saved += sstats.prefix_lits_saved;
-                            let sig = search::signature(&pop.set.cs);
-                            if let Some(model) = model {
-                                frontier.note_solved_sig(sig, true);
-                                frontier.restore(pops.collect());
-                                let (mut artifacts, job_arena) =
-                                    spec_run.expect("every SAT job carries its run");
-                                // Import the worker's expressions and
-                                // retarget the path at the central ids.
-                                let mut roots = Vec::with_capacity(artifacts.path.len() * 2);
-                                for st in &artifacts.path {
-                                    roots.push(st.lit.expr);
-                                    if let Some(rc) = &st.range {
-                                        roots.push(rc.expr);
-                                    }
-                                }
-                                let mapped = arena.absorb(&job_arena, base_nodes, &roots);
-                                let mut mapped = mapped.into_iter();
-                                for st in &mut artifacts.path {
-                                    st.lit.expr = mapped.next().expect("mapped root");
-                                    if let Some(rc) = &mut st.range {
-                                        rc.expr = mapped.next().expect("mapped root");
-                                    }
-                                }
-                                staged_run = Some((artifacts, model));
-                                break 'streak;
-                            }
-                            frontier.note_solved_sig(sig, false);
-                            if book.forced_meta.contains_key(&sig) {
-                                // The repair bookkeeping may queue a
-                                // priority set: put the speculative tail
-                                // back first so the offer lands exactly
-                                // where the serial engine would put it.
-                                frontier.restore(pops.collect());
-                                self.handle_unsat(sig, &mut frontier, &mut book);
-                                if wall_expired(&start) {
-                                    timed_out = true;
-                                }
-                                continue 'streak;
-                            }
-                            if wall_expired(&start) {
-                                timed_out = true;
-                                frontier.restore(pops.collect());
-                                continue 'streak;
-                            }
-                        }
-                        continue 'streak;
+                    } else {
+                        res.exhausted = true;
+                        break;
                     }
                 }
-
-                // ---- drained (or timed out mid-streak) --------------------
-                if !timed_out
-                    && self.cfg.budget.policy.restart_on_drain
-                    && frontier.ever_scheduled()
-                {
-                    let r = frontier.stats().restarts;
-                    frontier.note_restart();
-                    assignment = self.restart_assignment(n_controllable, r);
-                    break 'streak;
-                }
-                if !timed_out
-                    && frontier.ever_scheduled()
-                    && (reset_high_water == u64::MAX || book.bits_high_water > reset_high_water)
-                {
-                    reset_high_water = book.bits_high_water;
-                    frontier.reset_dedup();
-                    break 'streak;
-                }
-                return self.failed(
-                    runs,
-                    solver_calls,
-                    total_instrs,
-                    total_units,
-                    start,
-                    Outcome {
-                        timed_out,
-                        exhausted: !timed_out,
-                        syscall_divergences,
-                        cursor_overruns,
-                        checkpoint_divergences,
-                        escalation: taken(&mut book, runs),
-                        concretization_ranges,
-                        concretization_pins,
-                        pin_fallbacks,
-                        cache_hits,
-                        cache_misses,
-                        prefix_len_saved,
-                        frontier: frontier.into_stats(),
-                    },
-                    last_stats,
-                );
             }
         }
-    }
 
-    #[allow(clippy::too_many_arguments)]
-    fn failed(
-        &self,
-        runs: usize,
-        solver_calls: usize,
-        total_instrs: u64,
-        total_units: u64,
-        start: std::time::Instant,
-        outcome: Outcome,
-        last_stats: crate::host::ReplayRunStats,
-    ) -> ReplayResult {
-        ReplayResult {
-            reproduced: false,
-            runs,
-            solver_calls,
-            total_instrs,
-            total_units,
-            wall_ms: start.elapsed().as_millis() as u64,
-            witness_argv: None,
-            witness_assignment: None,
-            timed_out: outcome.timed_out,
-            exhausted: outcome.exhausted,
-            syscall_divergences: outcome.syscall_divergences,
-            cursor_overruns: outcome.cursor_overruns,
-            checkpoint_divergences: outcome.checkpoint_divergences,
-            escalation: outcome.escalation,
-            concretization_ranges: outcome.concretization_ranges,
-            concretization_pins: outcome.concretization_pins,
-            pin_fallbacks: outcome.pin_fallbacks,
-            cache_hits: outcome.cache_hits,
-            cache_misses: outcome.cache_misses,
-            prefix_len_saved: outcome.prefix_len_saved,
-            frontier: outcome.frontier,
-            last_run_stats: last_stats,
-        }
+        res.wall_ms = start.elapsed().as_millis() as u64;
+        res.solver_calls = tally.calls as usize;
+        res.pin_fallbacks = tally.pin_fallbacks;
+        res.cache_hits = tally.cache_hits;
+        res.cache_misses = tally.cache_misses;
+        res.prefix_len_saved = tally.prefix_lits_saved;
+        res.escalation = book.escalation;
+        res.escalation.runs = res.runs;
+        res.frontier = frontier.into_stats();
+        res
     }
-}
-
-/// How a failed search ended (threaded into [`ReplayResult`]).
-struct Outcome {
-    timed_out: bool,
-    exhausted: bool,
-    syscall_divergences: u64,
-    cursor_overruns: u64,
-    checkpoint_divergences: u64,
-    escalation: EscalationReport,
-    concretization_ranges: u64,
-    concretization_pins: u64,
-    pin_fallbacks: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    prefix_len_saved: u64,
-    frontier: FrontierStats,
 }
 
 /// Everything one replay run leaves behind: the outcome, the argv it
-/// ran with, meters, and the symbolic path. Produced by
-/// [`ReplayEngine::exec_run`] on the main thread (serial engine) or on
-/// a worker (speculative SAT run); consumed by the serial commit path
-/// either way.
+/// ran with, meters, and the symbolic path.
 struct RunArtifacts {
     outcome: RunOutcome,
     argv: Vec<Vec<u8>>,
@@ -1415,15 +864,6 @@ impl ForcedInfo {
     fn ladder(&self) -> impl Iterator<Item = usize> + '_ {
         self.suspects.iter().copied()
     }
-}
-
-/// Takes the accumulated escalation evidence out of the book, stamped
-/// with the run count it was gathered over (used at every result-
-/// construction site so the book is consumed exactly once).
-fn taken(book: &mut RepairBook, runs: usize) -> EscalationReport {
-    let mut esc = std::mem::take(&mut book.escalation);
-    esc.runs = runs;
-    esc
 }
 
 /// Appends one path step to a pending constraint set: the

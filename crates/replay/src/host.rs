@@ -111,16 +111,17 @@ pub struct ReplayRunStats {
     pub consulted: BTreeSet<u32>,
 }
 
-/// The replay host.
-pub struct ReplayHost {
+/// The replay host. It borrows the engine's plan and report, so a run
+/// copies neither.
+pub struct ReplayHost<'a> {
     /// Expression arena (session-wide).
     pub arena: ExprArena,
     /// The developer-site environment.
     pub env: ReplayEnv,
     /// The instrumentation plan (retained by the developer).
-    pub plan: Plan,
-    /// The shipped branch log (flat or per-location).
-    pub trace: TraceLog,
+    pub plan: &'a Plan,
+    /// The shipped branch log (flat or per-location), normalized.
+    pub trace: &'a TraceLog,
     /// Consumption positions: one flat position, or one cursor per
     /// branch location.
     pub cursors: CursorTable,
@@ -144,24 +145,24 @@ pub struct ReplayHost {
     /// the plan's checkpoint escalation rule was active). `checkpoints
     /// [k]` is every location's recorded stream length right after the
     /// `k`-th logged syscall; set by the engine after construction.
-    pub checkpoints: Vec<Vec<(u32, u64)>>,
+    pub checkpoints: &'a [Vec<(u32, u64)>],
     /// Logged syscalls executed so far this run (indexes `checkpoints`).
     pub logged_syscalls: usize,
 }
 
-impl ReplayHost {
-    /// Creates a replay host for one run.
+impl<'a> ReplayHost<'a> {
+    /// Creates a replay host for one run. `trace` must be normalized
+    /// ([`TraceLog::normalize`]): the cursor lookups rely on the
+    /// sorted-unique stream invariant. `ReplayEngine::new` normalizes
+    /// each report once.
     pub fn new(
         arena: ExprArena,
         env: ReplayEnv,
-        plan: Plan,
-        mut trace: TraceLog,
+        plan: &'a Plan,
+        trace: &'a TraceLog,
         vars: InputVars,
         crash_loc: Loc,
     ) -> Self {
-        // The report may have been deserialized from external JSON; the
-        // cursor lookups rely on the sorted-unique stream invariant.
-        trace.normalize();
         let last_taken = vec![None; plan.instrumented.len()];
         ReplayHost {
             arena,
@@ -176,7 +177,7 @@ impl ReplayHost {
             concretization: Concretization::default(),
             crash_loc,
             last_taken,
-            checkpoints: Vec::new(),
+            checkpoints: &[],
             logged_syscalls: 0,
         }
     }
@@ -272,7 +273,7 @@ impl ReplayHost {
     }
 }
 
-impl Host for ReplayHost {
+impl Host for ReplayHost<'_> {
     type V = SymV;
 
     fn shadow_binop(&mut self, op: BinOp, a: (i64, &SymV), b: (i64, &SymV), _out: i64) -> SymV {

@@ -33,7 +33,7 @@ pub mod escalation;
 pub mod host;
 pub mod stats;
 
-pub use engine::{ReplayBudget, ReplayConfig, ReplayEngine, ReplayResult};
+pub use engine::{ReplayConfig, ReplayEngine, ReplayResult};
 pub use env::{realize_streams, ReplayEnv, Streams, SyscallMode};
 pub use escalation::{EscalationReport, LocationEscalation};
 pub use host::{
@@ -1127,7 +1127,7 @@ mod e2e {
         let spec = guarded_spec();
         // Log ONLY the middle guard: the outer and inner guards must be
         // found by search, so the frontier sees real UNSAT streaks —
-        // the work the parallel engine speculates on.
+        // the work the solve-streak workers speculate on.
         let mut instrumented = vec![false; cp.n_branches()];
         instrumented[1] = true;
         let plan = Plan {
@@ -1164,23 +1164,20 @@ mod e2e {
 
     #[test]
     fn replay_is_worker_count_invariant() {
-        // The tentpole property, stronger than mere set equality: the
-        // parallel engine commits speculative verdicts strictly in pop
-        // order, so the ENTIRE decision sequence — run count, solver
-        // calls, the ordered (signature, verdict) stream, the committed
-        // pop count, and the final reproduced input — is bit-identical
-        // for every worker count. (Raw `popped` is NOT compared:
-        // speculation pops more and restores the excess; `popped -
-        // restored` is the consumed count and must match.)
-        let serial = replay_with_workers(1);
-        assert!(serial.0, "the serial baseline must reproduce");
-        assert!(!serial.5.is_empty(), "the search must actually solve sets");
-        for workers in [2, 4] {
+        // Stronger than mere set equality: the solve streak commits
+        // speculative verdicts strictly in pop order, so the ENTIRE
+        // decision sequence — run count, solver calls, the ordered
+        // (signature, verdict) stream, the committed pop count, and the
+        // final reproduced input — is bit-identical for every worker
+        // count, 0 (which counts as 1) included. (Raw `popped` is NOT
+        // compared: speculation pops more and restores the excess;
+        // `popped - restored` is the consumed count and must match.)
+        let one = replay_with_workers(1);
+        assert!(one.0, "the one-worker baseline must reproduce");
+        assert!(!one.5.is_empty(), "the search must actually solve sets");
+        for workers in [0, 2, 4] {
             let par = replay_with_workers(workers);
-            assert_eq!(
-                serial, par,
-                "workers={workers} diverged from the serial engine"
-            );
+            assert_eq!(one, par, "workers={workers} diverged from workers=1");
         }
     }
 

@@ -26,8 +26,12 @@
 //! frontier.offer_priority(..);     // forced / recovery sets, tried first
 //! while !frontier.run_full() { frontier.offer(..); }
 //! frontier.end_run();
-//! while let Some(p) = frontier.pop() { .. frontier.note_solved(sat); }
+//! match search::solve_next(&mut frontier, &ctx, &mut tally, hook) { .. }
 //! ```
+//!
+//! [`solve_next`] is the one solve loop both engines share: it pops,
+//! solves (on up to `workers` threads), commits verdicts in pop order
+//! and hands back the next candidate input.
 //!
 //! Deduplication keys pending sets on a 128-bit hash of the full
 //! `(ExprRef, bool)` literal vector — wide enough that a collision (which
@@ -39,8 +43,10 @@ use std::collections::{HashMap, HashSet};
 
 pub mod limits;
 pub mod pool;
+pub mod streak;
 
 pub use limits::SearchLimits;
+pub use streak::{solve_next, SolveCtx, SolveTally, Streak, Tail};
 
 /// Frontier exploration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -334,16 +340,17 @@ pub struct FrontierStats {
     /// `workers ∈ {1, 2, 4}`: the *set of solved candidates* must not
     /// depend on how many threads distributed the work.
     pub solved_sigs: Vec<(u128, bool)>,
-    /// Replay/concolic runs executed per worker thread (empty for the
-    /// serial engines). Scheduling-dependent — excluded from invariance
-    /// comparisons; the counts only show how work spread across threads.
+    /// Solver calls made per worker thread, speculative ones included
+    /// (empty at `workers = 1`). Scheduling-dependent — excluded from
+    /// invariance comparisons; the counts only show how solving spread
+    /// across threads.
     pub worker_runs: Vec<u64>,
 }
 
 impl FrontierStats {
     /// One-line rendering for analysis summaries and table footers.
-    /// Serial sessions render exactly as before; parallel sessions
-    /// (non-empty `worker_runs`) append the per-worker run split.
+    /// Sessions with several workers (non-empty `worker_runs`) append
+    /// the per-worker solve split.
     pub fn summary(&self) -> String {
         let base = format!(
             "{}: {} scheduled (+{} priority), {} sat / {} unsat, \
@@ -625,12 +632,12 @@ impl Frontier {
     /// then the strategy's pool order), recording per-pop provenance so
     /// [`Frontier::restore`] can push unconsumed sets back exactly.
     ///
-    /// The parallel engines use this to solve several candidates
+    /// [`solve_next`] uses this to solve several candidates
     /// concurrently while committing verdicts strictly in pop order:
     /// once a verdict requires mutating the frontier (a SAT model ends
     /// the solve streak, or an UNSAT burst triggers a repair offer), the
     /// unprocessed tail must be restored *before* the mutation so the
-    /// queue state matches what a serial engine would have seen.
+    /// queue state matches a one-set-at-a-time search.
     pub fn pop_batch(&mut self, max: usize) -> Vec<SpeculativePop> {
         let mut out = Vec::new();
         while out.len() < max {

@@ -1,19 +1,18 @@
 //! The shared search-budget surface.
 //!
-//! `concolic::Budget` and `replay::ReplayBudget` grew the same knobs
-//! field by field — run caps, per-run fuel, wall clock, frontier caps,
-//! scheduling policy, worker count, prefix cache — as copy-pasted
-//! definitions that drifted only in their defaults. [`SearchLimits`]
-//! is the single definition both embed (via `Deref`, so every
-//! `budget.max_runs` read and write keeps compiling unchanged); the
-//! engine-specific budgets keep only what is genuinely theirs (the
-//! concretization mode).
+//! Both engines read the same knobs — run caps, per-run fuel, wall
+//! clock, frontier caps, scheduling policy, worker count, prefix cache.
+//! [`SearchLimits`] is their single definition; `concolic::Budget`
+//! embeds it (via `Deref`, so `budget.max_runs` reads and writes
+//! directly) next to the one knob that is not a search limit (the
+//! concretization mode), and both engines take that one budget type.
 
 use crate::SearchPolicy;
+use std::time::Instant;
 
 /// The knobs shared by every frontier-driven search session, whether
 /// the concolic analysis engine or the log-guided replay engine drives
-/// it. Embedded by `concolic::Budget` and `replay::ReplayBudget`.
+/// it. Embedded by `concolic::Budget`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchLimits {
     /// Maximum runs (path explorations / replay candidates).
@@ -31,10 +30,11 @@ pub struct SearchLimits {
     /// Frontier scheduling policy (strategy, per-branch quotas, drain
     /// restarts, forced-set repair).
     pub policy: SearchPolicy,
-    /// Worker threads for the candidate search. `1` is the fully
-    /// serial engine; `N > 1` solves up to `N` speculatively popped
-    /// pending sets concurrently, committing verdicts strictly in pop
-    /// order, so results are identical for every worker count.
+    /// Worker threads for the solve streak ([`crate::solve_next`]):
+    /// each streak pops up to this many pending sets and solves them
+    /// concurrently, committing verdicts strictly in pop order, so
+    /// results are identical for every worker count. Runs always
+    /// execute on the calling thread. `0` counts as `1`.
     pub workers: usize,
     /// Path-prefix solve cache over the frozen arena generations.
     /// Outcome-identical; only changes wall time.
@@ -66,28 +66,10 @@ impl SearchLimits {
         }
     }
 
-    /// Builder-style run cap.
-    pub fn with_max_runs(mut self, n: usize) -> Self {
-        self.max_runs = n;
-        self
-    }
-
-    /// Builder-style worker count.
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
-    }
-
-    /// Builder-style scheduling policy.
-    pub fn with_policy(mut self, policy: SearchPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Builder-style prefix-cache toggle.
-    pub fn with_prefix_cache(mut self, on: bool) -> Self {
-        self.prefix_cache = on;
-        self
+    /// True once the wall-clock cap has passed (never when the cap is
+    /// 0). Checked after every run and after every UNSAT verdict.
+    pub fn wall_expired(&self, start: Instant) -> bool {
+        self.max_wall_ms > 0 && start.elapsed().as_millis() as u64 > self.max_wall_ms
     }
 }
 
@@ -109,18 +91,5 @@ mod tests {
         assert_eq!(r.max_runs, 512);
         assert_eq!(SearchLimits { max_runs: 64, ..r }, a);
         assert_eq!(SearchLimits::default(), SearchLimits::analysis());
-    }
-
-    #[test]
-    fn builders_compose() {
-        let l = SearchLimits::analysis()
-            .with_max_runs(7)
-            .with_workers(4)
-            .with_policy(SearchPolicy::explorer())
-            .with_prefix_cache(false);
-        assert_eq!(l.max_runs, 7);
-        assert_eq!(l.workers, 4);
-        assert_eq!(l.policy, SearchPolicy::explorer());
-        assert!(!l.prefix_cache);
     }
 }

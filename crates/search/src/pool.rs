@@ -1,12 +1,12 @@
 //! A tiny scoped worker pool for the batch-synchronous parallel phases.
 //!
-//! The replay and concolic engines parallelize in *phases*: a round pops
-//! a batch of independent jobs (VM runs to execute, pending sets to
-//! solve), fans them out across `workers` threads, then commits the
-//! results serially in job order. [`parallel_map`] is the fan-out half:
-//! it runs `f` over every item on a shared pull queue and returns the
-//! results in item order, plus a per-worker processed-item count for the
-//! `worker_runs` split in `FrontierStats`.
+//! The solve streak ([`crate::solve_next`]) parallelizes in *phases*:
+//! it pops a batch of pending sets, fans their solves out across
+//! `workers` threads, then commits the verdicts serially in pop order.
+//! [`parallel_map`] is the fan-out half: it runs `f` over every item on
+//! a shared pull queue and returns the results in item order, plus a
+//! per-worker processed-item count for the `worker_runs` split in
+//! `FrontierStats`.
 //!
 //! The pool is deliberately phase-scoped (no long-lived threads, no
 //! channels): `std::thread::scope` lets `f` borrow the caller's stack —
@@ -33,10 +33,8 @@ pub struct PhaseResult<R> {
 /// which worker ran them — callers commit them serially, which is what
 /// makes the engines' results worker-count invariant.
 ///
-/// `workers <= 1` (or a single item) takes a serial fast path on the
-/// calling thread: no threads are spawned and `worker_counts` comes
-/// back sized 1, keeping the default configuration byte-identical to
-/// the pre-parallel engines.
+/// `workers <= 1` (or a single item) runs on the calling thread: no
+/// threads are spawned and `worker_counts` comes back sized 1.
 pub fn parallel_map<T, R, F>(workers: usize, items: Vec<T>, f: F) -> PhaseResult<R>
 where
     T: Send,

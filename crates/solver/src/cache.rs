@@ -31,13 +31,13 @@
 //!   registration keep their defaults, exactly as a fresh propagation
 //!   over the same ranges would leave them.
 //!
-//! Writes happen at one place only: the engines' serial bank phase
+//! Writes happen at one place only: the engines' bank phase
 //! (`register_path`), after a run executed. Solves — including the
-//! parallel workers' speculative solves — take the cache by shared
-//! reference. That single-writer discipline is what makes the cache
-//! counters worker-count-invariant: within a solve streak the cache
-//! content is frozen, so every worker observes the same hits a serial
-//! engine would.
+//! workers' speculative solves — take the cache by shared reference.
+//! That single-writer discipline is what makes the cache counters
+//! worker-count-invariant: within a solve streak the cache content is
+//! frozen, so every worker observes the same hits a one-worker streak
+//! would.
 
 use crate::arena::{ExprArena, ExprRef, VarId, VarInfo};
 use crate::constraint::{ConstraintSet, Lit, RangeConstraint};

@@ -122,7 +122,7 @@ pub use solve::{
     solve_with_stats, solve_with_stats_cached, SolveCfg, SolveStats, XorShift, GOLDEN_RATIO,
 };
 
-/// The parallel replay workers share one read-only [`ExprArena`] and
+/// The solve-streak workers share one read-only [`ExprArena`] and
 /// move [`ConstraintSet`]s across thread boundaries; both are plain
 /// owned data (no `Rc`, no interior mutability), and this keeps it that
 /// way at compile time. The COW arena's frozen prefix and the prefix
