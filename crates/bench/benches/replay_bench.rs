@@ -89,7 +89,7 @@ fn exp4_cache_measurement() {
     let abench = userver_analysis(Knobs::default());
     let bundle = abench.wb.analyze(Coverage::Lc.runs());
     for cache in [false, true] {
-        let exp = userver_experiment(4, Knobs { workers: 1, cache });
+        let exp = userver_experiment(4, Knobs { cache });
         let (res, _) = userver_replay(&exp, Method::DynamicStatic, &bundle, 300);
         println!(
             "  cache {}: reproduced={} runs={} solver_calls={} wall={}ms \

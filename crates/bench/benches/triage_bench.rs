@@ -21,7 +21,7 @@ fn bench_triage(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
 
     group.bench_function(format!("batched_{CORPUS_N}"), |b| {
-        b.iter(|| triage_run(Knobs::default(), CORPUS_N))
+        b.iter(|| triage_run(Knobs::default(), 1, CORPUS_N))
     });
 
     // Naive baseline on a subsample: one analysis per report makes the

@@ -15,7 +15,6 @@ fn main() {
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(512);
-    let workers = retrace_bench::workers_arg();
     let mut rows = Vec::new();
     for prog in [
         Program::Mkdir,
@@ -23,8 +22,7 @@ fn main() {
         Program::Mkfifo,
         Program::Paste,
     ] {
-        let mut exp = coreutil(prog);
-        exp.wb.workers = workers;
+        let exp = coreutil(prog);
         let bundles = analyze_coverages(&exp.wb);
         for method in Method::ALL {
             let plan = exp.wb.plan(method, &bundles.hc);

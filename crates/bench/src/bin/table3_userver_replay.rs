@@ -20,7 +20,6 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(300);
     let knobs = Knobs::from_args();
-    let (workers, cache) = (knobs.workers, knobs.cache);
     let mut abench = userver_analysis_bench(42);
     knobs.apply(&mut abench);
     let bundles = analyze_coverages(&abench.wb);
@@ -105,9 +104,8 @@ fn main() {
         "{}",
         render::table(
             &format!(
-                "Table 3: uServer bug reproduction (budget {budget} runs, {workers} worker{}, cache {}; ∞ = timeout)",
-                if workers == 1 { "" } else { "s" },
-                if cache { "on" } else { "off" }
+                "Table 3: uServer bug reproduction (budget {budget} runs, cache {}; ∞ = timeout)",
+                if knobs.cache { "on" } else { "off" }
             ),
             &[
                 "experiment",

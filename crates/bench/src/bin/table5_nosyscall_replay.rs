@@ -16,9 +16,7 @@ fn main() {
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(300);
-    let workers = retrace_bench::workers_arg();
-    let mut abench = userver_analysis_bench(42);
-    abench.wb.workers = workers;
+    let abench = userver_analysis_bench(42);
     let bundles = analyze_coverages(&abench.wb);
 
     let configs: Vec<(String, Method, Coverage)> = vec![
@@ -34,11 +32,10 @@ fn main() {
 
     let mut t5 = Vec::new();
     let mut t8 = Vec::new();
-    for mut exp_def in userver_experiments(42)
+    for exp_def in userver_experiments(42)
         .into_iter()
         .filter(|e| e.name.ends_with('1') || e.name.ends_with('4'))
     {
-        exp_def.wb.workers = workers;
         for (name, method, cov) in &configs {
             let bundle = match cov {
                 Coverage::Lc => &bundles.lc,

@@ -15,12 +15,10 @@ fn main() {
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(200);
-    let workers = retrace_bench::workers_arg();
     let mut t6 = Vec::new();
     let mut t7 = Vec::new();
     for id in [1, 2] {
-        let mut exp = diff_experiment(id);
-        exp.wb.workers = workers;
+        let exp = diff_experiment(id);
         // Deliberately small dynamic budget: diff's input-heavy branching
         // keeps concolic coverage low, as in the paper (20%).
         let bundles = analyze_coverages(&exp.wb);

@@ -25,9 +25,10 @@ fn usize_flag(name: &str, default: usize) -> usize {
 
 fn main() {
     let knobs = Knobs::from_args();
+    let workers = usize_flag("--workers", 1);
     let corpus_n = usize_flag("--corpus", 1000);
     let naive_n = usize_flag("--naive", 40);
-    let (pipeline, out) = triage_run(knobs, corpus_n);
+    let (pipeline, out) = triage_run(knobs, workers, corpus_n);
     println!("{}", triage_table(&out, corpus_n));
     let naive = (naive_n > 0).then(|| pipeline.naive_triage(Some(naive_n)));
     println!("{}", triage_wall_summary(&out, naive.as_ref()));

@@ -1,12 +1,12 @@
 //! Shared test fixtures for the bench suites.
 //!
-//! The golden-table checks, the worker-invariance suite, the cache-
-//! invariance suite and the combined-row/thrash guards all exercise the
-//! same deterministic replay chains (uServer exp 1, the guarded crash,
-//! the combined rows). This module is the one place that derives them,
-//! so a rendering or setup change cannot silently fork between suites
-//! — and so every suite can dial the engine knobs (`workers`, `cache`)
-//! explicitly instead of re-deriving the workbench by hand.
+//! The golden-table checks, the cache-invariance suite and the
+//! combined-row/thrash guards all exercise the same deterministic replay
+//! chains (uServer exp 1, the guarded crash, the combined rows). This
+//! module is the one place that derives them, so a rendering or setup
+//! change cannot silently fork between suites — and so every suite can
+//! dial the engine knob (`cache`) explicitly instead of re-deriving the
+//! workbench by hand.
 
 use crate::experiments::{replay_adaptive, userver_analysis_bench, AdaptiveGen};
 use crate::render;
@@ -17,47 +17,32 @@ use retrace_core::AnalysisBundle;
 use std::path::PathBuf;
 
 /// Engine knobs every fixture threads into the workbenches it builds.
-/// Goldens are pinned at the defaults (`workers: 1`, `cache: true`);
-/// the invariance suites re-render at other knob values and demand the
-/// identical deterministic columns.
+/// Goldens are pinned at the default (`cache: true`); the invariance
+/// suites re-render with the cache off and demand the identical
+/// deterministic columns.
 #[derive(Debug, Clone, Copy)]
 pub struct Knobs {
-    /// Worker threads for both engines.
-    pub workers: usize,
     /// Path-prefix solve cache on/off.
     pub cache: bool,
 }
 
 impl Default for Knobs {
     fn default() -> Self {
-        Knobs {
-            workers: 1,
-            cache: true,
-        }
+        Knobs { cache: true }
     }
 }
 
 impl Knobs {
-    /// Knobs at a worker count, cache on (the golden configuration).
-    pub fn workers(workers: usize) -> Self {
-        Knobs {
-            workers,
-            ..Knobs::default()
-        }
-    }
-
-    /// Knobs parsed from the process's CLI flags (`--workers N`,
-    /// `--cache on|off`) — the one parser every table bin shares.
+    /// Knobs parsed from the process's CLI flags (`--cache on|off`) —
+    /// the one parser every table bin shares.
     pub fn from_args() -> Self {
         Knobs {
-            workers: crate::workers_arg(),
             cache: crate::cache_arg(),
         }
     }
 
     /// Applies the knobs to an experiment's workbench.
     pub fn apply(&self, exp: &mut Experiment) {
-        exp.wb.workers = self.workers;
         exp.wb.cache = self.cache;
     }
 }
@@ -260,7 +245,6 @@ pub fn adaptive_table(knobs: Knobs, exps: &[usize], budget: usize) -> String {
 pub fn guarded_experiment(knobs: Knobs) -> Experiment {
     let cp = minic::build(&[("main", GUARDED_CRASH_SRC)]).expect("compiles");
     let mut wb = retrace_core::Workbench::new(cp, concolic::InputSpec::argv_symbolic("prog", 1, 2));
-    wb.workers = knobs.workers;
     wb.cache = knobs.cache;
     Experiment {
         name: "guarded crash".into(),
@@ -278,16 +262,18 @@ pub const TRIAGE_CORPUS_SEED: u64 = 42;
 
 /// The standard-fleet triage run the golden tables, the smoke test and
 /// the `table_triage` bin share: register the four corpus programs,
-/// deploy an `n`-entry mixed corpus at [`TRIAGE_CORPUS_SEED`], triage.
+/// deploy an `n`-entry mixed corpus at [`TRIAGE_CORPUS_SEED`], triage
+/// with `workers` class-replay threads.
 pub fn triage_run(
     knobs: Knobs,
+    workers: usize,
     corpus_n: usize,
 ) -> (
     retrace_triage::TriagePipeline,
     retrace_triage::TriageOutcome,
 ) {
     let mut p = retrace_triage::TriagePipeline::new(retrace_triage::TriageConfig {
-        workers: knobs.workers,
+        workers,
         cache: knobs.cache,
         ..retrace_triage::TriageConfig::default()
     });
@@ -403,7 +389,6 @@ pub const GUARDED_CRASH_SRC: &str = r#"
 pub fn guarded_crash_table(knobs: Knobs) -> String {
     let cp = minic::build(&[("main", GUARDED_CRASH_SRC)]).expect("compiles");
     let mut wb = retrace_core::Workbench::new(cp, concolic::InputSpec::argv_symbolic("prog", 1, 2));
-    wb.workers = knobs.workers;
     wb.cache = knobs.cache;
     let bundle = wb.analyze(16);
     let parts = replay::InputParts {

@@ -15,19 +15,6 @@ pub mod fixtures;
 pub mod render;
 pub mod setup;
 
-/// Parses `--workers N` from the command line (default 1): the number
-/// of threads each solve streak solves on. Replay/analysis results are
-/// identical for every worker count; only wall-clock time changes.
-pub fn workers_arg() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
 /// Parses `--cache on|off` from the command line (default on). The
 /// prefix cache is bit-identical on or off; `off` only changes
 /// wall-clock time, so the flag exists for before/after measurement.

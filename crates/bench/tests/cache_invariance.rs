@@ -5,11 +5,10 @@
 //! prefix; replay banked interval/support/propagation states), so every
 //! deterministic observable of both engines — run counts, solver calls,
 //! the ordered crash/verdict stream, the arena node count, the witness
-//! — must be bit-identical with the cache on or off, at any worker
-//! count. These tests pin that at the benchmark level, mirroring the
-//! worker-invariance suite: a proptest over random guard-chain programs
-//! crossed with cache {on, off} × workers {1, 4} on both engines, and
-//! the fixed guarded-crash replay across the full knob matrix.
+//! — must be bit-identical with the cache on or off. These tests pin
+//! that at the benchmark level: a proptest over random guard-chain
+//! programs with the cache on and off on both engines, and the fixed
+//! guarded-crash replay under all four instrumentation methods.
 
 use concolic::InputSpec;
 use instrument::Method;
@@ -42,22 +41,9 @@ fn chain_program(thresholds: &[u8]) -> String {
     )
 }
 
-/// Frontier counters with the speculation bookkeeping masked: pops
-/// undone by `restore` and the per-worker run split are worker-dependent
-/// by design (`popped == committed + restored` holds at any count);
-/// every other counter is commit-order deterministic and must match.
-fn committed_frontier(f: &FrontierStats) -> FrontierStats {
-    let mut f = f.clone();
-    f.popped = 0;
-    f.restored = 0;
-    f.worker_runs = Vec::new();
-    f
-}
-
-fn workbench(src: &str, n_bytes: usize, workers: usize, cache: bool) -> Workbench {
+fn workbench(src: &str, n_bytes: usize, cache: bool) -> Workbench {
     let cp = minic::build(&[("main", src)]).expect("compiles");
     let mut wb = Workbench::new(cp, InputSpec::argv_symbolic("prog", 1, n_bytes));
-    wb.workers = workers;
     wb.cache = cache;
     wb
 }
@@ -73,13 +59,8 @@ type AnalysisObs = (
     FrontierStats,                 // full scheduling counters
 );
 
-fn observe_analysis(
-    src: &str,
-    n_bytes: usize,
-    workers: usize,
-    cache: bool,
-) -> (AnalysisObs, (u64, u64, u64)) {
-    let wb = workbench(src, n_bytes, workers, cache);
+fn observe_analysis(src: &str, n_bytes: usize, cache: bool) -> (AnalysisObs, (u64, u64, u64)) {
+    let wb = workbench(src, n_bytes, cache);
     let d = wb.analyze(24).dyn_result;
     (
         (
@@ -94,7 +75,7 @@ fn observe_analysis(
                 d.concretization_pins,
                 d.pin_fallbacks,
             ),
-            committed_frontier(&d.frontier),
+            d.frontier.clone(),
         ),
         (d.cache_hits, d.cache_misses, d.prefix_len_saved),
     )
@@ -115,10 +96,9 @@ fn observe_replay(
     n_bytes: usize,
     magic: &[u8],
     method: Method,
-    workers: usize,
     cache: bool,
 ) -> (ReplayObs, (u64, u64, u64)) {
-    let wb = workbench(src, n_bytes, workers, cache);
+    let wb = workbench(src, n_bytes, cache);
     let bundle = wb.analyze(24);
     let plan = wb.plan(method, &bundle);
     let parts = InputParts {
@@ -139,20 +119,20 @@ fn observe_replay(
                 r.pin_fallbacks,
             ),
             (r.syscall_divergences, r.cursor_overruns),
-            committed_frontier(&r.frontier),
+            r.frontier.clone(),
         ),
         (r.cache_hits, r.cache_misses, r.prefix_len_saved),
     )
 }
 
 /// Asserts the two halves of the cache ledger: an on-leg accounts every
-/// committed solve as hit or miss; an off-leg is all misses.
+/// solve as hit or miss; an off-leg is all misses.
 fn check_ledger(on: bool, ledger: (u64, u64, u64), solver_calls: usize, what: &str) {
     let (hits, misses, saved) = ledger;
     assert_eq!(
         hits + misses,
         solver_calls as u64,
-        "{what}: ledger must account every committed solve"
+        "{what}: ledger must account every solve"
     );
     if !on {
         assert_eq!(hits, 0, "{what}: cache off cannot hit");
@@ -171,82 +151,40 @@ proptest! {
         let n = thresholds.len();
         let magic: Vec<u8> = thresholds.iter().map(|t| t + slack).collect();
 
-        // Concolic engine: the cache-on serial observation is the
-        // reference; every other knob combination must match its base
-        // tuple exactly.
-        let (a_base, a_ledger) = observe_analysis(&src, n, 1, true);
-        check_ledger(true, a_ledger, a_base.0 .1, "analysis workers=1 cache=on");
-        for workers in [1usize, 4] {
-            for cache in [true, false] {
-                let (base, ledger) = observe_analysis(&src, n, workers, cache);
-                prop_assert_eq!(
-                    &base, &a_base,
-                    "analysis diverged at workers={} cache={}", workers, cache
-                );
-                check_ledger(cache, ledger, base.0 .1, "analysis");
-                if cache {
-                    prop_assert_eq!(
-                        ledger, a_ledger,
-                        "cache-on ledger must itself be worker-invariant"
-                    );
-                }
-            }
-        }
+        // Concolic engine: the cache-on observation is the reference;
+        // the cache-off base tuple must match it exactly.
+        let (a_base, a_ledger) = observe_analysis(&src, n, true);
+        check_ledger(true, a_ledger, a_base.0 .1, "analysis cache=on");
+        let (base, ledger) = observe_analysis(&src, n, false);
+        prop_assert_eq!(&base, &a_base, "analysis diverged with the cache off");
+        check_ledger(false, ledger, base.0 .1, "analysis cache=off");
 
-        // Replay engine, same matrix.
-        let (r_base, r_ledger) = observe_replay(&src, n, &magic, Method::Dynamic, 1, true);
+        // Replay engine, same pair.
+        let (r_base, r_ledger) = observe_replay(&src, n, &magic, Method::Dynamic, true);
         prop_assert!(r_base.0 .0, "reference replay reproduces");
-        check_ledger(true, r_ledger, r_base.0 .2, "replay workers=1 cache=on");
-        for workers in [1usize, 4] {
-            for cache in [true, false] {
-                let (base, ledger) =
-                    observe_replay(&src, n, &magic, Method::Dynamic, workers, cache);
-                prop_assert_eq!(
-                    &base, &r_base,
-                    "replay diverged at workers={} cache={}", workers, cache
-                );
-                check_ledger(cache, ledger, base.0 .2, "replay");
-                if cache {
-                    prop_assert_eq!(
-                        ledger, r_ledger,
-                        "cache-on replay ledger must be worker-invariant"
-                    );
-                }
-            }
-        }
+        check_ledger(true, r_ledger, r_base.0 .2, "replay cache=on");
+        let (base, ledger) = observe_replay(&src, n, &magic, Method::Dynamic, false);
+        prop_assert_eq!(&base, &r_base, "replay diverged with the cache off");
+        check_ledger(false, ledger, base.0 .2, "replay cache=off");
     }
 }
 
-/// The fixed guarded-crash replay across the full knob matrix and all
-/// four instrumentation methods: full-tuple equality against the serial
+/// The fixed guarded-crash replay with the cache on and off under all
+/// four instrumentation methods: full-tuple equality against the
 /// cache-on reference, per method.
 #[test]
-fn guarded_crash_full_tuple_matches_across_cache_and_workers() {
+fn guarded_crash_full_tuple_matches_across_cache() {
     for method in [
         Method::Dynamic,
         Method::DynamicStatic,
         Method::Static,
         Method::AllBranches,
     ] {
-        let (reference, ref_ledger) = observe_replay(GUARDED_CRASH_SRC, 2, b"cr", method, 1, true);
+        let (reference, ref_ledger) = observe_replay(GUARDED_CRASH_SRC, 2, b"cr", method, true);
         assert!(reference.0 .0, "{method:?}: reference reproduces");
         check_ledger(true, ref_ledger, reference.0 .2, "guarded reference");
-        for workers in [1usize, 2, 4] {
-            for cache in [true, false] {
-                let (base, ledger) =
-                    observe_replay(GUARDED_CRASH_SRC, 2, b"cr", method, workers, cache);
-                assert_eq!(
-                    base, reference,
-                    "{method:?} diverged at workers={workers} cache={cache}"
-                );
-                check_ledger(cache, ledger, base.0 .2, "guarded");
-                if cache {
-                    assert_eq!(
-                        ledger, ref_ledger,
-                        "{method:?}: cache-on ledger moved at workers={workers}"
-                    );
-                }
-            }
-        }
+        let (base, ledger) = observe_replay(GUARDED_CRASH_SRC, 2, b"cr", method, false);
+        assert_eq!(base, reference, "{method:?} diverged with the cache off");
+        check_ledger(false, ledger, base.0 .2, "guarded cache=off");
     }
 }

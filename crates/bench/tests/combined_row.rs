@@ -24,11 +24,10 @@ use retrace_bench::setup::Experiment;
 /// The standard Table 3 budget.
 const BUDGET: usize = 300;
 
-/// Engine knobs for this suite: serial, with the prefix cache taken
-/// from `RETRACE_CACHE` so CI's cache-off leg reruns the same bounds.
+/// Engine knobs for this suite: the prefix cache taken from
+/// `RETRACE_CACHE` so CI's cache-off leg reruns the same bounds.
 fn knobs() -> Knobs {
     Knobs {
-        workers: 1,
         cache: retrace_bench::cache_env(),
     }
 }

@@ -5,8 +5,7 @@
 //! (seeded analysis, seeded replay, no wall-clock columns) and compares
 //! it byte-for-byte against a committed golden file. The replay tables
 //! are built by `retrace_bench::fixtures` — the same single definition
-//! the worker- and cache-invariance suites re-render at other engine
-//! knob settings. Regenerate with:
+//! the cache-invariance suite re-renders with the cache off. Regenerate with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p retrace-bench --test golden_tables

@@ -24,11 +24,10 @@ use retrace_bench::setup::Coverage;
 /// staying debug-test feasible. The full Table 3 runs at 300.
 const BUDGET: usize = 150;
 
-/// Serial knobs, with the prefix cache taken from `RETRACE_CACHE` so
+/// Engine knobs, with the prefix cache taken from `RETRACE_CACHE` so
 /// CI's cache-off leg reruns the same cost envelopes.
 fn knobs() -> Knobs {
     Knobs {
-        workers: 1,
         cache: retrace_bench::cache_env(),
     }
 }

@@ -18,7 +18,7 @@ const SMOKE_CORPUS: usize = 200;
 /// from the rendering by construction).
 #[test]
 fn triage_200_matches_golden() {
-    let (_, out) = triage_run(Knobs::default(), SMOKE_CORPUS);
+    let (_, out) = triage_run(Knobs::default(), 1, SMOKE_CORPUS);
     check_golden("triage_200.txt", &triage_table(&out, SMOKE_CORPUS));
 }
 
@@ -27,8 +27,8 @@ fn triage_200_matches_golden() {
 /// choice, replay work or the ledger.
 #[test]
 fn triage_table_is_worker_count_invariant() {
-    let (_, serial) = triage_run(Knobs::workers(1), SMOKE_CORPUS);
-    let (_, wide) = triage_run(Knobs::workers(4), SMOKE_CORPUS);
+    let (_, serial) = triage_run(Knobs::default(), 1, SMOKE_CORPUS);
+    let (_, wide) = triage_run(Knobs::default(), 4, SMOKE_CORPUS);
     assert_eq!(
         triage_table(&serial, SMOKE_CORPUS),
         triage_table(&wide, SMOKE_CORPUS),
@@ -41,7 +41,7 @@ fn triage_table_is_worker_count_invariant() {
 /// reproduced and every member conformant.
 #[test]
 fn triage_smoke_clears_floors() {
-    let (_, out) = triage_run(Knobs::default(), SMOKE_CORPUS);
+    let (_, out) = triage_run(Knobs::default(), 1, SMOKE_CORPUS);
     assert!(
         out.dedup_ratio() >= 5.0,
         "dedup ratio {:.1} below the 5x floor",
@@ -66,7 +66,7 @@ fn triage_1000_acceptance() {
         eprintln!("skipping 1000-report leg (set RETRACE_FULL_TRIAGE=1)");
         return;
     }
-    let (_, out) = triage_run(Knobs::default(), 1000);
+    let (_, out) = triage_run(Knobs::default(), 1, 1000);
     assert!(out.ledger.reports >= 400, "mix files a substantial corpus");
     assert!(
         out.dedup_ratio() >= 5.0,

@@ -37,7 +37,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct Budget {
     /// The shared search knobs (run cap, fuel, wall clock, frontier
-    /// caps, policy, workers, prefix cache).
+    /// caps, policy, prefix cache).
     pub limits: SearchLimits,
     /// How symbolic address components are concretized (offset-
     /// generalizing region bounds by default; `Pin` restores the classic
@@ -183,9 +183,9 @@ pub struct AnalysisResult {
     /// Solver calls that retried with the hard-pinned variant after the
     /// bounded form went unsolved.
     pub pin_fallbacks: u64,
-    /// Committed solver calls that started from a cached path prefix.
+    /// Solver calls that started from a cached path prefix.
     pub cache_hits: u64,
-    /// Committed solver calls that found no cached prefix (including all
+    /// Solver calls that found no cached prefix (including all
     /// calls with the prefix cache disabled).
     pub cache_misses: u64,
     /// Total literals skipped via cached prefixes across all hits.
@@ -300,10 +300,7 @@ impl<'p> Engine<'p> {
     /// unexplored pending constraint set remains.
     ///
     /// Each round runs the current candidate, banks its offers and asks
-    /// [`search::solve_next`] for the next candidate. `budget.workers`
-    /// only sets how many pending sets that streak solves at once;
-    /// verdicts commit in pop order, so the result is worker-count
-    /// invariant.
+    /// [`search::solve_next`] for the next candidate.
     pub fn analyze(&self) -> AnalysisResult {
         let start = std::time::Instant::now();
         let limits = &self.cfg.budget.limits;
@@ -730,59 +727,10 @@ mod tests {
     }
 
     #[test]
-    fn analysis_is_worker_count_invariant() {
-        // Workers only solve; verdicts commit strictly in pop order and
-        // every run executes on the one session arena, so the whole
-        // analysis — run/solver counts, the ordered (signature, verdict)
-        // stream, the final arena size, the profile, even the crash
-        // list — is bit-identical for every worker count (0 counts as 1).
-        let src = r#"
-            int main(int argc, char **argv) {
-                char *s = argv[1];
-                if (s[0] == 'x') {
-                    if (s[1] == 'y') {
-                        if (s[2] == 'z') {
-                            int *p = 0;
-                            return *p;
-                        }
-                    }
-                }
-                if (s[0] > 'm') { return 2; }
-                return 0;
-            }
-        "#;
-        let run = |workers: usize| {
-            let cp = build(&[("main", src)]).unwrap();
-            let mut cfg = SessionConfig::new(InputSpec::argv_symbolic("p", 1, 3));
-            cfg.budget.max_runs = 32;
-            cfg.budget.workers = workers;
-            let r = Engine::new(&cp, cfg).analyze();
-            (
-                r.runs,
-                r.solver_calls,
-                r.solver_sat,
-                r.arena_nodes,
-                r.frontier.solved_sigs.clone(),
-                r.profile.total_execs(),
-                r.crashes.len(),
-                r.crashes.first().map(|c| c.argv.clone()),
-                r.exhausted,
-                r.timed_out,
-                (r.cache_hits, r.cache_misses, r.prefix_len_saved),
-            )
-        };
-        let serial = run(1);
-        assert!(!serial.4.is_empty(), "the analysis must solve sets");
-        for workers in [0, 2, 4] {
-            assert_eq!(serial, run(workers), "workers={workers} diverged");
-        }
-    }
-
-    #[test]
     fn prefix_cache_on_off_is_bit_identical() {
         // Every cache shortcut is provably outcome-identical, so the
         // whole analysis tuple — including the arena node count — must
-        // match with the cache disabled, at any worker count.
+        // match with the cache disabled.
         let src = r#"
             int main(int argc, char **argv) {
                 char *s = argv[1];
@@ -795,11 +743,10 @@ mod tests {
                 return 0;
             }
         "#;
-        let run = |cache: bool, workers: usize| {
+        let run = |cache: bool| {
             let cp = build(&[("main", src)]).unwrap();
             let mut cfg = SessionConfig::new(InputSpec::argv_symbolic("p", 1, 3));
             cfg.budget.max_runs = 32;
-            cfg.budget.workers = workers;
             cfg.budget.prefix_cache = cache;
             let r = Engine::new(&cp, cfg).analyze();
             (
@@ -815,7 +762,7 @@ mod tests {
                 (r.cache_hits, r.cache_misses, r.prefix_len_saved),
             )
         };
-        let (base, (hits, misses, saved)) = run(true, 1);
+        let (base, (hits, misses, saved)) = run(true);
         assert!(hits > 0, "guard chain must share prefixes");
         assert!(saved >= hits, "every hit saves at least one literal");
         assert_eq!(
@@ -823,12 +770,10 @@ mod tests {
             base.1 as u64,
             "ledger: hits + misses == solves"
         );
-        for workers in [1, 4] {
-            let (off, (off_hits, _, off_saved)) = run(false, workers);
-            assert_eq!(base, off, "cache=off workers={workers} diverged");
-            assert_eq!(off_hits, 0, "disabled cache cannot hit");
-            assert_eq!(off_saved, 0);
-        }
+        let (off, (off_hits, _, off_saved)) = run(false);
+        assert_eq!(base, off, "cache=off diverged");
+        assert_eq!(off_hits, 0, "disabled cache cannot hit");
+        assert_eq!(off_saved, 0);
     }
 
     #[test]
@@ -841,18 +786,15 @@ mod tests {
                 return 0;
             }
         "#;
-        for workers in [1usize, 4] {
-            let cp = build(&[("main", src)]).unwrap();
-            let mut cfg = SessionConfig::new(InputSpec::argv_symbolic("p", 1, 3));
-            cfg.budget.max_runs = 24;
-            cfg.budget.workers = workers;
-            let r = Engine::new(&cp, cfg).analyze();
-            assert_eq!(
-                r.cache_hits + r.cache_misses,
-                r.solver_calls as u64,
-                "workers={workers}: every committed solve is hit or miss"
-            );
-        }
+        let cp = build(&[("main", src)]).unwrap();
+        let mut cfg = SessionConfig::new(InputSpec::argv_symbolic("p", 1, 3));
+        cfg.budget.max_runs = 24;
+        let r = Engine::new(&cp, cfg).analyze();
+        assert_eq!(
+            r.cache_hits + r.cache_misses,
+            r.solver_calls as u64,
+            "every solve is a hit or a miss"
+        );
     }
 
     #[test]

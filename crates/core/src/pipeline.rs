@@ -112,6 +112,7 @@ pub struct LoggedRun {
 }
 
 /// The whole system around one program + input shape + environment.
+/// Its analysis and replay sessions run on the calling thread.
 pub struct Workbench {
     /// The compiled program.
     pub cp: CompiledProgram,
@@ -132,11 +133,6 @@ pub struct Workbench {
     /// offset-generalizing region bounds by default,
     /// [`Concretization::Pin`] for the classic equality pins.
     pub concretization: Concretization,
-    /// Solver threads in both engines (default 1; 0 counts as 1). Each
-    /// solve streak solves up to this many popped pending sets at once
-    /// and commits the verdicts strictly in pop order; runs stay on the
-    /// calling thread. Results are identical for every worker count.
-    pub workers: usize,
     /// Path-prefix solve cache in both engines (on by default). Every
     /// cached shortcut is provably outcome-identical, so turning this
     /// off only changes wall time — which the cache-invariance suite
@@ -155,7 +151,6 @@ impl Workbench {
             seed: 17,
             policy: SearchPolicy::default(),
             concretization: Concretization::default(),
-            workers: 1,
             cache: true,
         }
     }
@@ -168,7 +163,6 @@ impl Workbench {
         scfg.budget.max_runs = max_runs;
         scfg.budget.policy = self.policy.clone();
         scfg.budget.concretization = self.concretization;
-        scfg.budget.workers = self.workers;
         scfg.budget.prefix_cache = self.cache;
         scfg.seed = self.seed;
         let dyn_result = Engine::new(&self.cp, scfg).analyze();
@@ -411,7 +405,6 @@ impl Workbench {
         rcfg.budget.max_runs = max_runs;
         rcfg.budget.policy = self.policy.clone();
         rcfg.budget.concretization = self.concretization;
-        rcfg.budget.workers = self.workers;
         rcfg.budget.prefix_cache = self.cache;
         rcfg.seed = seed;
         ReplayEngine::new(&self.cp, plan.clone(), report.clone(), rcfg).reproduce()

@@ -740,12 +740,6 @@ impl CursorTable {
         }
         self.per_loc.get(&loc).copied().unwrap_or(0)
     }
-
-    /// Every per-location cursor position, sorted by location (empty for
-    /// a flat log — use [`consumed`](CursorTable::consumed) there).
-    pub fn positions(&self) -> Vec<(u32, u64)> {
-        self.per_loc.iter().map(|(l, p)| (*l, *p)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -965,7 +959,6 @@ mod tests {
         assert_eq!(cur.consumed(), 3);
         assert_eq!(cur.position(1), 2);
         assert_eq!(cur.position(5), 1);
-        assert_eq!(cur.positions(), vec![(1, 2), (5, 1)]);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use minic::memory::pack;
 use minic::vm::{RunOutcome, Vm};
 use minic::CompiledProgram;
 use oskit::SimFs;
-use search::{Frontier, FrontierStats, RepairTracker, SolveCtx, SolveTally, Streak, Tail};
+use search::{Frontier, FrontierStats, RepairTracker, SolveCtx, SolveTally, Streak};
 use solver::{ConstraintSet, ExprArena, Lit, Node, Op, PrefixCache, SolveCfg, VarId};
 use std::collections::{HashMap, HashSet};
 
@@ -117,9 +117,9 @@ pub struct ReplayResult {
     /// Solver calls that retried with the hard-pinned variant after the
     /// bounded form went unsolved.
     pub pin_fallbacks: u64,
-    /// Committed solver calls that started from a cached path prefix.
+    /// Solver calls that started from a cached path prefix.
     pub cache_hits: u64,
-    /// Committed solver calls that found no cached prefix (including all
+    /// Solver calls that found no cached prefix (including all
     /// calls with the prefix cache disabled).
     pub cache_misses: u64,
     /// Total literals skipped via cached prefixes across all hits.
@@ -183,9 +183,6 @@ impl<'p> ReplayEngine<'p> {
             }
             repair.push(info.steps[s].lit.negated());
             if frontier.offer_repair(repair, info.seed.clone()) {
-                if std::env::var("RETRACE_REPLAY_TRACE").is_ok() {
-                    eprintln!("  repair offered: suspect at step {s} (attempt {attempt})");
-                }
                 return true;
             }
         }
@@ -198,33 +195,29 @@ impl<'p> ReplayEngine<'p> {
     }
 
     /// Executes one replay run under `assignment`, threading the arena
-    /// through. `run_no` only labels `RETRACE_REPLAY_TRACE` output.
+    /// through.
     fn exec_run(
         &self,
         arena: ExprArena,
         assignment: &[i64],
-        syscall_mode: &SyscallMode,
         vars: &InputVars,
-        run_no: usize,
     ) -> (RunArtifacts, ExprArena) {
         let n_controllable = vars.n_controllable as usize;
         let streams = realize_streams(&self.cfg.spec, vars, assignment);
-        let traced_conns: Option<Vec<String>> =
-            std::env::var("RETRACE_REPLAY_TRACE").ok().map(|_| {
-                streams
-                    .conns
-                    .iter()
-                    .map(|c| String::from_utf8_lossy(c).escape_default().to_string())
-                    .collect()
-            });
         let nondet_assign: Vec<i64> = assignment
             .get(n_controllable..)
             .map(|s| s.to_vec())
             .unwrap_or_default();
+        let syscall_mode = if self.report.syscalls.is_empty() {
+            SyscallMode::Modeled
+        } else {
+            SyscallMode::Logged(&self.report.syscalls)
+        };
+        // Each run mutates its own replica of the deployment filesystem.
         let env = ReplayEnv::new(
             streams,
             self.cfg.base_fs.clone(),
-            syscall_mode.clone(),
+            syscall_mode,
             nondet_assign,
         );
         let argv = env.argv().to_vec();
@@ -259,18 +252,6 @@ impl<'p> ReplayEngine<'p> {
         let units = vm.meter.units;
         let host = vm.host;
         let log_exhausted = host.log_exhausted();
-        if let Some(conns) = traced_conns {
-            eprintln!(
-                "run {run_no}: outcome={outcome:?} bits={} recon={} sym_logged={} sym_unlogged={} path={} div={:?} cursors={:?} conns={conns:?}",
-                host.stats.bits_consumed,
-                host.stats.reconstructed_bits,
-                host.stats.sym_logged_execs,
-                host.stats.sym_unlogged_execs,
-                host.path.len(),
-                host.stats.divergent_branch,
-                host.cursors.positions(),
-            );
-        }
         (
             RunArtifacts {
                 outcome,
@@ -604,24 +585,18 @@ impl<'p> ReplayEngine<'p> {
                 }
             }
         }
-        if offered > 0 && std::env::var("RETRACE_REPLAY_TRACE").is_ok() {
-            eprintln!("  literal pins offered: {offered} at loc {loc}");
-        }
     }
 
     /// The solve streak's UNSAT hook: when the set with signature `sig`
     /// was a registered forced set, account the thrash burst and (on a
-    /// burst) queue the repair ladder. Only a forced set touches the
-    /// frontier, so only a forced set pulls back the streak's
-    /// speculative tail.
-    fn handle_unsat(&self, sig: u128, tail: &mut Tail<'_>, book: &mut RepairBook) {
+    /// burst) queue the repair ladder.
+    fn handle_unsat(&self, sig: u128, frontier: &mut Frontier, book: &mut RepairBook) {
         // A forced set went UNSAT: on a burst, backtrack to the
         // earliest unlogged suspect (attempt k starts the ladder
         // at the k-th rung; dedup walks past already-explored
         // flips) and queue the repaired prefix on the priority
         // lane.
         if let Some(info) = book.forced_meta.get(&sig) {
-            let frontier = tail.frontier();
             frontier.note_forced_unsat();
             // Escalation evidence: charge the UNSAT to the stalled
             // location — decoded from a per-location burst key, or the
@@ -666,10 +641,7 @@ impl<'p> ReplayEngine<'p> {
     /// Each round runs the current candidate, checks for the crash,
     /// banks the run's offers and asks [`search::solve_next`] for the
     /// next candidate; forced-set UNSAT verdicts reach the repair ladder
-    /// through the streak's UNSAT hook. `budget.workers` only sets how
-    /// many pending sets a streak solves at once, so every result field
-    /// except `wall_ms` and the per-worker solve split is worker-count
-    /// invariant.
+    /// through the streak's UNSAT hook.
     pub fn reproduce(&self) -> ReplayResult {
         let start = std::time::Instant::now();
         let limits = &self.cfg.budget.limits;
@@ -690,16 +662,10 @@ impl<'p> ReplayEngine<'p> {
         // fresh re-derivation epoch after visible progress, so resets
         // cannot loop.
         let mut reset_high_water = u64::MAX;
-        let syscall_mode = if self.report.syscalls.is_empty() {
-            SyscallMode::Modeled
-        } else {
-            SyscallMode::Logged(self.report.syscalls.clone())
-        };
 
         loop {
             // ---- one replay run -------------------------------------------
-            let (run, arena_back) =
-                self.exec_run(arena, &assignment, &syscall_mode, &vars, res.runs + 1);
+            let (run, arena_back) = self.exec_run(arena, &assignment, &vars);
             arena = arena_back;
             res.runs += 1;
             res.total_instrs += run.instrs;
@@ -755,8 +721,8 @@ impl<'p> ReplayEngine<'p> {
                 limits,
                 start,
             };
-            let streak = search::solve_next(&mut frontier, &ctx, &mut tally, |sig, tail| {
-                self.handle_unsat(sig, tail, &mut book)
+            let streak = search::solve_next(&mut frontier, &ctx, &mut tally, |sig, frontier| {
+                self.handle_unsat(sig, frontier, &mut book)
             });
             match streak {
                 Streak::Model(model) => assignment = model,

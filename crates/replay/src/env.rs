@@ -73,10 +73,10 @@ pub fn realize_streams(spec: &InputSpec, vars: &InputVars, assignment: &[i64]) -
 }
 
 /// How syscall non-determinism is resolved.
-#[derive(Debug, Clone)]
-pub enum SyscallMode {
-    /// Follow the shipped syscall log.
-    Logged(SyscallLog),
+#[derive(Debug, Clone, Copy)]
+pub enum SyscallMode<'a> {
+    /// Follow the shipped syscall log (borrowed from the bug report).
+    Logged(&'a SyscallLog),
     /// Use symbolic models; concrete values come from `nondet_assign`.
     Modeled,
 }
@@ -128,11 +128,11 @@ pub struct SyscallDivergence {
 
 /// The developer-site environment for one replay run.
 #[derive(Debug)]
-pub struct ReplayEnv {
+pub struct ReplayEnv<'a> {
     streams: Streams,
     fs: SimFs,
     fds: Vec<RFd>,
-    mode: SyscallMode,
+    mode: SyscallMode<'a>,
     log_pos: usize,
     /// Sequential non-determinism event counter (stable across runs with
     /// identical prefixes, giving model variables cross-run identity).
@@ -144,7 +144,7 @@ pub struct ReplayEnv {
     clock: i64,
 }
 
-impl ReplayEnv {
+impl<'a> ReplayEnv<'a> {
     /// Creates an environment over candidate streams.
     ///
     /// `base_fs` replicates the deployment filesystem (concrete parts);
@@ -152,7 +152,7 @@ impl ReplayEnv {
     pub fn new(
         streams: Streams,
         base_fs: SimFs,
-        mode: SyscallMode,
+        mode: SyscallMode<'a>,
         nondet_assign: Vec<i64>,
     ) -> Self {
         let mut fs = base_fs;
@@ -575,7 +575,7 @@ mod tests {
         let mut env = ReplayEnv::new(
             streams_with_conn(b"hello"),
             SimFs::new(),
-            SyscallMode::Logged(log),
+            SyscallMode::Logged(&log),
             Vec::new(),
         );
         let fd = {
@@ -603,7 +603,7 @@ mod tests {
         let mut env = ReplayEnv::new(
             streams_with_conn(b"x"),
             SimFs::new(),
-            SyscallMode::Logged(log),
+            SyscallMode::Logged(&log),
             Vec::new(),
         );
         env.socket();
@@ -656,7 +656,7 @@ mod tests {
         let mut env = ReplayEnv::new(
             streams_with_conn(b"x"),
             SimFs::new(),
-            SyscallMode::Logged(log),
+            SyscallMode::Logged(&log),
             Vec::new(),
         );
         let r = env.select(&[3, 4]).unwrap();

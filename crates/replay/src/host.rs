@@ -117,7 +117,7 @@ pub struct ReplayHost<'a> {
     /// Expression arena (session-wide).
     pub arena: ExprArena,
     /// The developer-site environment.
-    pub env: ReplayEnv,
+    pub env: ReplayEnv<'a>,
     /// The instrumentation plan (retained by the developer).
     pub plan: &'a Plan,
     /// The shipped branch log (flat or per-location), normalized.
@@ -157,7 +157,7 @@ impl<'a> ReplayHost<'a> {
     /// each report once.
     pub fn new(
         arena: ExprArena,
-        env: ReplayEnv,
+        env: ReplayEnv<'a>,
         plan: &'a Plan,
         trace: &'a TraceLog,
         vars: InputVars,

@@ -9,23 +9,6 @@
 //!
 //! Reproduction = finding an input that drives execution to the recorded
 //! crash site along a path consistent with the log.
-//!
-//! # Run tracing (`RETRACE_REPLAY_TRACE`)
-//!
-//! Set the `RETRACE_REPLAY_TRACE` environment variable (any value) to
-//! make [`ReplayEngine::reproduce`] print one diagnostic line per run to
-//! stderr: the outcome, bits consumed, logged/unlogged symbolic
-//! execution counts, path length, the divergent branch (if any), the
-//! per-location cursor positions (empty for flat logs — the `bits`
-//! count is the flat position), and the candidate connection payloads.
-//! Repair-ladder offers are traced too. This is the first tool to reach
-//! for when a replay row goes ∞: a misalignment hunt starts by looking
-//! at which location's cursor stopped advancing.
-//!
-//! ```text
-//! RETRACE_REPLAY_TRACE=1 cargo run --release -p retrace-bench \
-//!     --bin table3_userver_replay 2>trace.log
-//! ```
 
 pub mod engine;
 pub mod env;
@@ -1096,38 +1079,28 @@ mod e2e {
         assert!(res.reproduced, "truncated-log replay failed: {res:?}");
     }
 
-    /// Everything the invariance suite compares, in order: reproduced,
+    /// Everything the cache on/off test compares, in order: reproduced,
     /// runs, solver calls, witness argv, witness assignment, the ordered
-    /// (signature, verdict) stream, committed pops, popped-minus-
-    /// restored (the consumed count), and the prefix-cache ledger
-    /// (hits, misses, literals saved).
-    type InvarianceObservation = (
+    /// (signature, verdict) stream, and the prefix-cache ledger (hits,
+    /// misses, literals saved).
+    type CacheObservation = (
         bool,
         usize,
         usize,
         Option<Vec<Vec<u8>>>,
         Option<Vec<i64>>,
         Vec<(u128, bool)>,
-        u64,
-        u64,
         (u64, u64, u64),
     );
 
     /// Replays the guarded crash with a partially instrumented plan
-    /// (search-heavy) at the given worker count, returning every field
-    /// the invariance suite compares.
-    fn replay_with_workers(workers: usize) -> InvarianceObservation {
-        replay_with_workers_cache(workers, true)
-    }
-
-    /// [`replay_with_workers`] with the prefix cache switchable.
-    fn replay_with_workers_cache(workers: usize, cache: bool) -> InvarianceObservation {
+    /// (search-heavy), the prefix cache on or off.
+    fn replay_guarded(cache: bool) -> CacheObservation {
         let src = GUARDED_CRASH;
         let cp = build(&[("main", src)]).unwrap();
         let spec = guarded_spec();
         // Log ONLY the middle guard: the outer and inner guards must be
-        // found by search, so the frontier sees real UNSAT streaks —
-        // the work the solve-streak workers speculate on.
+        // found by search, so the frontier sees real UNSAT streaks.
         let mut instrumented = vec![false; cp.n_branches()];
         instrumented[1] = true;
         let plan = Plan {
@@ -1146,7 +1119,6 @@ mod e2e {
         let report = BugReport::capture(vm.host, crash);
         let mut rcfg = ReplayConfig::new(spec);
         rcfg.budget.max_runs = 128;
-        rcfg.budget.workers = workers;
         rcfg.budget.prefix_cache = cache;
         let res = ReplayEngine::new(&cp, plan, report, rcfg).reproduce();
         (
@@ -1156,40 +1128,20 @@ mod e2e {
             res.witness_argv,
             res.witness_assignment,
             res.frontier.solved_sigs.clone(),
-            res.frontier.committed,
-            res.frontier.popped - res.frontier.restored,
             (res.cache_hits, res.cache_misses, res.prefix_len_saved),
         )
     }
 
     #[test]
-    fn replay_is_worker_count_invariant() {
-        // Stronger than mere set equality: the solve streak commits
-        // speculative verdicts strictly in pop order, so the ENTIRE
-        // decision sequence — run count, solver calls, the ordered
-        // (signature, verdict) stream, the committed pop count, and the
-        // final reproduced input — is bit-identical for every worker
-        // count, 0 (which counts as 1) included. (Raw `popped` is NOT
-        // compared: speculation pops more and restores the excess;
-        // `popped - restored` is the consumed count and must match.)
-        let one = replay_with_workers(1);
-        assert!(one.0, "the one-worker baseline must reproduce");
-        assert!(!one.5.is_empty(), "the search must actually solve sets");
-        for workers in [0, 2, 4] {
-            let par = replay_with_workers(workers);
-            assert_eq!(one, par, "workers={workers} diverged from workers=1");
-        }
-    }
-
-    #[test]
     fn replay_prefix_cache_on_off_is_bit_identical() {
         // Every cache shortcut is provably outcome-identical, so the
-        // whole search — verdict stream, witness, consumed pops — must
-        // match with the cache disabled, at every worker count. Only
-        // the ledger itself may differ (zeroed when off).
-        let on = replay_with_workers_cache(1, true);
+        // whole search — verdict stream, witness — must match with the
+        // cache disabled. Only the ledger itself may differ (zeroed when
+        // off).
+        let on = replay_guarded(true);
         assert!(on.0, "the cached baseline must reproduce");
-        let (hits, misses, saved) = on.8;
+        assert!(!on.5.is_empty(), "the search must actually solve sets");
+        let (hits, misses, saved) = on.6;
         assert!(hits > 0, "guided replay re-derives prefixes: must hit");
         assert!(saved >= hits, "every hit saves at least one literal");
         assert_eq!(
@@ -1197,129 +1149,25 @@ mod e2e {
             on.2 as u64,
             "ledger: hits + misses == solves"
         );
-        let strip = |o: &InvarianceObservation| {
-            (
-                o.0,
-                o.1,
-                o.2,
-                o.3.clone(),
-                o.4.clone(),
-                o.5.clone(),
-                o.6,
-                o.7,
-            )
-        };
-        for workers in [1usize, 2, 4] {
-            let off = replay_with_workers_cache(workers, false);
-            let (off_hits, off_misses, off_saved) = off.8;
-            assert_eq!(off_hits, 0, "disabled cache cannot hit");
-            assert_eq!(off_saved, 0);
-            assert_eq!(off_misses, off.2 as u64, "ledger still counts every solve");
-            assert_eq!(
-                strip(&on),
-                strip(&off),
-                "cache=off workers={workers} diverged"
-            );
-        }
+        let off = replay_guarded(false);
+        let (off_hits, off_misses, off_saved) = off.6;
+        assert_eq!(off_hits, 0, "disabled cache cannot hit");
+        assert_eq!(off_saved, 0);
+        assert_eq!(off_misses, off.2 as u64, "ledger still counts every solve");
+        assert_eq!(
+            (&on.0, &on.1, &on.2, &on.3, &on.4, &on.5),
+            (&off.0, &off.1, &off.2, &off.3, &off.4, &off.5),
+            "cache=off diverged"
+        );
     }
 
     #[test]
-    fn parallel_replay_accounting_balances() {
-        // Every speculatively popped set is either committed or restored
-        // — the lost-candidate invariant the stress suite also checks.
-        // (`replay_with_workers` returns committed and popped-restored;
-        // their equality IS the balance popped == committed + restored.)
-        let r = replay_with_workers(4);
-        assert_eq!(r.6, r.7, "popped != committed + restored");
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
-        // Randomized magic-string programs under a PARTIAL plan (only
-        // even-indexed branches logged): replay must produce the same
-        // solved-set sequence and the same witness at 1, 2 and 4
-        // workers. Partial logging keeps real search pressure on the
-        // frontier, so speculation actually happens and must stay
-        // transparent.
-        #[test]
-        fn replay_worker_invariance_holds_on_random_programs(
-            magic in proptest::collection::vec(0x21u8..0x7f, 2..5),
-        ) {
-            let src = format!(
-                r#"
-                int main(int argc, char **argv) {{
-                    char *s = argv[1];
-                    int ok = 1;
-                    for (int i = 0; i < {n}; i++) {{
-                        if (s[i] != "{lit}"[i]) {{ ok = 0; }}
-                    }}
-                    if (ok) {{ int *p = 0; return *p; }}
-                    return 0;
-                }}
-                "#,
-                n = magic.len(),
-                lit = magic.iter().map(|b| *b as char).collect::<String>(),
-            );
-            let cp = build(&[("main", &src)]).unwrap();
-            let spec = InputSpec::argv_symbolic("prog", 1, magic.len());
-            let parts = InputParts {
-                argv_sym: vec![magic.clone()],
-                ..InputParts::default()
-            };
-            let mut instrumented = vec![false; cp.n_branches()];
-            for (i, slot) in instrumented.iter_mut().enumerate() {
-                *slot = i % 2 == 0;
-            }
-            let plan = Plan {
-                method: Method::Dynamic,
-                instrumented,
-                log_syscalls: true,
-                ..Plan::none(0)
-            };
-            let mut arena = ExprArena::new();
-            let vars = InputVars::alloc(&mut arena, &spec);
-            let assignment = assignment_from_input(&spec, &parts);
-            let (argv, kcfg) = realize(&spec, &vars, &assignment, &KernelConfig::default());
-            let host = LoggingHost::new(Kernel::new(kcfg), plan.clone());
-            let mut vm = Vm::new(&cp, host);
-            let crash = vm.run(&argv).crash().expect("crash").clone();
-            let report = BugReport::capture(vm.host, crash);
-            let run = |workers: usize| {
-                let mut rcfg = ReplayConfig::new(spec.clone());
-                rcfg.budget.max_runs = 128;
-                rcfg.budget.workers = workers;
-                let res =
-                    ReplayEngine::new(&cp, plan.clone(), report.clone(), rcfg).reproduce();
-                (
-                    res.reproduced,
-                    res.runs,
-                    res.solver_calls,
-                    res.witness_argv,
-                    res.witness_assignment,
-                    res.frontier.solved_sigs.clone(),
-                )
-            };
-            let serial = run(1);
-            for workers in [2usize, 4] {
-                let par = run(workers);
-                prop_assert_eq!(
-                    &serial, &par,
-                    "workers={} diverged from serial", workers
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_wall_timeout_is_reported_as_timeout_not_exhaustion() {
-        // The latent concurrency hazard in failure reporting: when the
-        // wall cap expires during a speculative commit phase the engine
-        // restores the unconsumed tail and leaves the frontier
+    fn wall_timeout_is_reported_as_timeout_not_exhaustion() {
+        // When the wall cap expires mid-streak the frontier is left
         // non-empty, so a naive drain epilogue could classify the stop
         // as exhaustion (or worse, keep popping). The epilogue must pin
-        // the precedence: wall expiry → `timed_out`, never `exhausted`,
-        // at every worker count. A heavy concrete loop makes a single
-        // run outlast the 1 ms cap.
+        // the precedence: wall expiry → `timed_out`, never `exhausted`.
+        // A heavy concrete loop makes a single run outlast the 1 ms cap.
         let src = r#"
             int main(int argc, char **argv) {
                 char *s = argv[1];
@@ -1354,30 +1202,20 @@ mod e2e {
         let mut vm = Vm::new(&cp, host);
         let crash = vm.run(&argv).crash().expect("cr crashes").clone();
         let report = BugReport::capture(vm.host, crash);
-        for workers in [1usize, 2] {
-            let mut rcfg = ReplayConfig::new(spec.clone());
-            rcfg.budget.max_runs = 100_000;
-            rcfg.budget.max_wall_ms = 1;
-            rcfg.budget.workers = workers;
-            let res = ReplayEngine::new(&cp, plan.clone(), report.clone(), rcfg).reproduce();
-            if res.reproduced {
-                continue; // a fast machine may win before the cap fires
-            }
-            assert!(
-                res.timed_out,
-                "workers={workers}: the 1 ms wall cap must report a timeout: \
-                 {} runs",
-                res.runs
-            );
-            assert!(
-                !res.exhausted,
-                "workers={workers}: a wall expiry is never exhaustion"
-            );
-            assert!(
-                res.runs < 100_000,
-                "workers={workers}: the run budget was not the stopper"
-            );
+        let mut rcfg = ReplayConfig::new(spec);
+        rcfg.budget.max_runs = 100_000;
+        rcfg.budget.max_wall_ms = 1;
+        let res = ReplayEngine::new(&cp, plan, report, rcfg).reproduce();
+        if res.reproduced {
+            return; // a fast machine may win before the cap fires
         }
+        assert!(
+            res.timed_out,
+            "the 1 ms wall cap must report a timeout: {} runs",
+            res.runs
+        );
+        assert!(!res.exhausted, "a wall expiry is never exhaustion");
+        assert!(res.runs < 100_000, "the run budget was not the stopper");
     }
 
     #[test]

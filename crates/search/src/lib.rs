@@ -29,9 +29,9 @@
 //! match search::solve_next(&mut frontier, &ctx, &mut tally, hook) { .. }
 //! ```
 //!
-//! [`solve_next`] is the one solve loop both engines share: it pops,
-//! solves (on up to `workers` threads), commits verdicts in pop order
-//! and hands back the next candidate input.
+//! [`solve_next`] is the one solve loop both engines share: it pops a
+//! set, solves it, commits the verdict and repeats until it has the next
+//! candidate input. The crate spawns no threads.
 //!
 //! Deduplication keys pending sets on a 128-bit hash of the full
 //! `(ExprRef, bool)` literal vector — wide enough that a collision (which
@@ -42,11 +42,10 @@ use solver::{ConstraintSet, Fnv128};
 use std::collections::{HashMap, HashSet};
 
 pub mod limits;
-pub mod pool;
 pub mod streak;
 
 pub use limits::SearchLimits;
-pub use streak::{solve_next, SolveCtx, SolveTally, Streak, Tail};
+pub use streak::{solve_next, SolveCtx, SolveTally, Streak};
 
 /// Frontier exploration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -270,25 +269,6 @@ pub struct PendingSet {
     pub generation: u64,
 }
 
-/// Where a speculative pop came from, so [`Frontier::restore`] can put
-/// it back exactly where it was.
-#[derive(Debug, Clone, Copy)]
-enum PopOrigin {
-    /// The forced / recovery priority lane.
-    Priority,
-    /// The strategy pool, removed from this index.
-    Pool(usize),
-}
-
-/// A pending set handed out by [`Frontier::pop_batch`] together with
-/// the provenance needed to undo the pop.
-#[derive(Debug)]
-pub struct SpeculativePop {
-    /// The popped pending set.
-    pub set: PendingSet,
-    origin: PopOrigin,
-}
-
 /// Counters exposed in `AnalysisResult` / `ReplayResult` so the bench
 /// tables can report scheduling behavior per strategy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -325,34 +305,16 @@ pub struct FrontierStats {
     pub repairs_scheduled: u64,
     /// Prefixes whose repair budget ran out (thrash cut off).
     pub repair_cutoffs: u64,
-    /// Sets handed out by [`Frontier::pop`] / [`Frontier::pop_batch`],
-    /// including speculative pops later undone by [`Frontier::restore`].
-    pub popped: u64,
-    /// Popped sets whose solver verdict was banked (every committed pop
-    /// earns exactly one [`Frontier::note_solved`] call). At session end
-    /// `popped == committed + restored` — the lost-candidate invariant
-    /// the concurrency stress test asserts.
-    pub committed: u64,
-    /// Speculative pops pushed back unconsumed by [`Frontier::restore`].
-    pub restored: u64,
-    /// Signature and verdict of every committed solve, in commit order.
-    /// The worker-count invariance suite compares these across
-    /// `workers ∈ {1, 2, 4}`: the *set of solved candidates* must not
-    /// depend on how many threads distributed the work.
+    /// Signature and verdict of every solve, in solve order. The
+    /// cache-invariance suite compares these with the prefix cache on
+    /// and off: the solved candidates must not depend on the cache.
     pub solved_sigs: Vec<(u128, bool)>,
-    /// Solver calls made per worker thread, speculative ones included
-    /// (empty at `workers = 1`). Scheduling-dependent — excluded from
-    /// invariance comparisons; the counts only show how solving spread
-    /// across threads.
-    pub worker_runs: Vec<u64>,
 }
 
 impl FrontierStats {
     /// One-line rendering for analysis summaries and table footers.
-    /// Sessions with several workers (non-empty `worker_runs`) append
-    /// the per-worker solve split.
     pub fn summary(&self) -> String {
-        let base = format!(
+        format!(
             "{}: {} scheduled (+{} priority), {} sat / {} unsat, \
              skipped {} dup / {} deep / {} quota, {} restarts, \
              {} repairs (+{} cut off)",
@@ -367,12 +329,7 @@ impl FrontierStats {
             self.restarts,
             self.repairs_scheduled,
             self.repair_cutoffs,
-        );
-        if self.worker_runs.is_empty() {
-            base
-        } else {
-            format!("{base}, worker runs {:?}", self.worker_runs)
-        }
+        )
     }
 }
 
@@ -581,16 +538,8 @@ impl Frontier {
 
     /// Pops the next pending set per the strategy (priority lane first).
     pub fn pop(&mut self) -> Option<PendingSet> {
-        self.pop_with_origin().map(|p| p.set)
-    }
-
-    fn pop_with_origin(&mut self) -> Option<SpeculativePop> {
         if let Some(p) = self.priority.pop() {
-            self.stats.popped += 1;
-            return Some(SpeculativePop {
-                set: p,
-                origin: PopOrigin::Priority,
-            });
+            return Some(p);
         }
         if self.entries.is_empty() {
             return None;
@@ -621,83 +570,17 @@ impl Frontier {
                 idx
             }
         };
-        self.stats.popped += 1;
-        Some(SpeculativePop {
-            set: self.entries.remove(idx),
-            origin: PopOrigin::Pool(idx),
-        })
+        Some(self.entries.remove(idx))
     }
 
-    /// Speculatively pops up to `max` pending sets (priority lane first,
-    /// then the strategy's pool order), recording per-pop provenance so
-    /// [`Frontier::restore`] can push unconsumed sets back exactly.
-    ///
-    /// [`solve_next`] uses this to solve several candidates
-    /// concurrently while committing verdicts strictly in pop order:
-    /// once a verdict requires mutating the frontier (a SAT model ends
-    /// the solve streak, or an UNSAT burst triggers a repair offer), the
-    /// unprocessed tail must be restored *before* the mutation so the
-    /// queue state matches a one-set-at-a-time search.
-    pub fn pop_batch(&mut self, max: usize) -> Vec<SpeculativePop> {
-        let mut out = Vec::new();
-        while out.len() < max {
-            match self.pop_with_origin() {
-                Some(p) => out.push(p),
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Pushes back the unconsumed tail of the most recent
-    /// [`Frontier::pop_batch`], undoing each pop exactly (entries return
-    /// to their original positions; Generational's `pop_tick` rewinds).
-    ///
-    /// Correctness requires that no offer landed between the batch pop
-    /// and this call — promotions remove pool entries and would shift
-    /// the recorded indices.
-    pub fn restore(&mut self, unused: Vec<SpeculativePop>) {
-        for p in unused.into_iter().rev() {
-            self.stats.restored += 1;
-            match p.origin {
-                PopOrigin::Priority => self.priority.push(p.set),
-                PopOrigin::Pool(idx) => {
-                    if self.policy.strategy == Strategy::Generational {
-                        self.pop_tick -= 1;
-                    }
-                    let idx = idx.min(self.entries.len());
-                    self.entries.insert(idx, p.set);
-                }
-            }
-        }
-    }
-
-    /// Records the solver verdict for the last popped set.
-    pub fn note_solved(&mut self, sat: bool) {
-        self.stats.committed += 1;
+    /// Records the solver verdict for the last popped set together with
+    /// the set's signature.
+    pub fn note_solved_sig(&mut self, sig: u128, sat: bool) {
+        self.stats.solved_sigs.push((sig, sat));
         if sat {
             self.stats.solved_sat += 1;
         } else {
             self.stats.solved_unsat += 1;
-        }
-    }
-
-    /// Records a solver verdict together with the set's signature, so
-    /// the invariance suite can compare the solved-candidate set across
-    /// worker counts.
-    pub fn note_solved_sig(&mut self, sig: u128, sat: bool) {
-        self.stats.solved_sigs.push((sig, sat));
-        self.note_solved(sat);
-    }
-
-    /// Adds a parallel phase's per-worker processed-item counts into the
-    /// session's `worker_runs` split (elementwise; grows on demand).
-    pub fn note_worker_runs(&mut self, counts: &[u64]) {
-        if self.stats.worker_runs.len() < counts.len() {
-            self.stats.worker_runs.resize(counts.len(), 0);
-        }
-        for (slot, c) in self.stats.worker_runs.iter_mut().zip(counts) {
-            *slot += c;
         }
     }
 
@@ -1115,109 +998,5 @@ mod tests {
         let mut same_other_witness = base.clone();
         same_other_witness.push_range(RangeConstraint::range(ExprRef(7), 0, 10, 4));
         assert_eq!(signature(&with_range), signature(&same_other_witness));
-    }
-
-    /// Drains two identically-stocked frontiers, one via `pop`, the
-    /// other via `pop_batch(width)` + `restore` of everything after the
-    /// first set of each batch. The committed sequence must match:
-    /// speculation must be invisible to scheduling order.
-    fn assert_restore_transparent(policy: SearchPolicy, width: usize) {
-        let stock = |f: &mut Frontier| {
-            f.begin_run();
-            for d in (1..=5).rev() {
-                let ids: Vec<u32> = (1..=d).collect();
-                assert!(f.offer(set(&ids), vec![], None));
-            }
-            assert!(f.offer_priority(set(&[9]), vec![], false));
-            f.end_run();
-        };
-        let mut serial = frontier(policy.clone());
-        stock(&mut serial);
-        let mut serial_order = Vec::new();
-        while let Some(p) = serial.pop() {
-            serial_order.push(signature(&p.cs));
-        }
-
-        let mut spec = frontier(policy);
-        stock(&mut spec);
-        let mut spec_order = Vec::new();
-        loop {
-            let mut batch = spec.pop_batch(width);
-            if batch.is_empty() {
-                break;
-            }
-            // Commit only the head; push the rest back, as the parallel
-            // engines do when the head's verdict mutates the frontier.
-            let tail = batch.split_off(1);
-            spec_order.push(signature(&batch.remove(0).set.cs));
-            spec.restore(tail);
-        }
-        assert_eq!(spec_order, serial_order);
-        assert_eq!(
-            spec.stats().popped,
-            spec.stats().committed + spec.stats().restored + spec_order.len() as u64,
-            "note_solved was never called here, so committed stays 0 \
-             and pops balance against restores + heads"
-        );
-    }
-
-    #[test]
-    fn restore_is_transparent_for_deepest_first() {
-        for width in [2, 3, 6] {
-            assert_restore_transparent(SearchPolicy::default(), width);
-        }
-    }
-
-    #[test]
-    fn restore_is_transparent_for_generational() {
-        for width in [2, 3, 6] {
-            assert_restore_transparent(
-                SearchPolicy {
-                    strategy: Strategy::Generational,
-                    ..SearchPolicy::default()
-                },
-                width,
-            );
-        }
-    }
-
-    #[test]
-    fn pop_accounting_balances() {
-        let mut f = frontier(SearchPolicy::default());
-        f.begin_run();
-        assert!(f.offer(set(&[1, 2, 3]), vec![], None));
-        assert!(f.offer(set(&[1, 2]), vec![], None));
-        assert!(f.offer(set(&[1]), vec![], None));
-        f.end_run();
-        let mut batch = f.pop_batch(8);
-        assert_eq!(batch.len(), 3, "batch drains the pool");
-        assert_eq!(f.stats().popped, 3);
-        let tail = batch.split_off(1);
-        let head = batch.remove(0);
-        f.note_solved_sig(signature(&head.set.cs), true);
-        f.restore(tail);
-        assert_eq!(f.stats().committed, 1);
-        assert_eq!(f.stats().restored, 2);
-        assert_eq!(f.stats().popped, f.stats().committed + f.stats().restored);
-        assert_eq!(f.stats().solved_sigs.len(), 1);
-        assert!(f.stats().solved_sigs[0].1);
-        assert_eq!(f.len(), 2, "restored sets are poppable again");
-    }
-
-    #[test]
-    fn worker_runs_merge_elementwise() {
-        let mut f = frontier(SearchPolicy::default());
-        f.note_worker_runs(&[2, 1]);
-        f.note_worker_runs(&[0, 3, 4]);
-        assert_eq!(f.stats().worker_runs, vec![2, 4, 4]);
-        assert!(
-            f.stats().summary().contains("worker runs [2, 4, 4]"),
-            "summary mentions the split once workers ran"
-        );
-        let g = frontier(SearchPolicy::default());
-        assert!(
-            !g.stats().summary().contains("worker runs"),
-            "serial summaries are unchanged"
-        );
     }
 }

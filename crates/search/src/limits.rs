@@ -1,7 +1,7 @@
 //! The shared search-budget surface.
 //!
 //! Both engines read the same knobs — run caps, per-run fuel, wall
-//! clock, frontier caps, scheduling policy, worker count, prefix cache.
+//! clock, frontier caps, scheduling policy, prefix cache.
 //! [`SearchLimits`] is their single definition; `concolic::Budget`
 //! embeds it (via `Deref`, so `budget.max_runs` reads and writes
 //! directly) next to the one knob that is not a search limit (the
@@ -30,12 +30,6 @@ pub struct SearchLimits {
     /// Frontier scheduling policy (strategy, per-branch quotas, drain
     /// restarts, forced-set repair).
     pub policy: SearchPolicy,
-    /// Worker threads for the solve streak ([`crate::solve_next`]):
-    /// each streak pops up to this many pending sets and solves them
-    /// concurrently, committing verdicts strictly in pop order, so
-    /// results are identical for every worker count. Runs always
-    /// execute on the calling thread. `0` counts as `1`.
-    pub workers: usize,
     /// Path-prefix solve cache over the frozen arena generations.
     /// Outcome-identical; only changes wall time.
     pub prefix_cache: bool,
@@ -52,7 +46,6 @@ impl SearchLimits {
             max_pendings_per_run: 64,
             max_pending_lits: 4000,
             policy: SearchPolicy::default(),
-            workers: 1,
             prefix_cache: true,
         }
     }

@@ -2,26 +2,20 @@
 //! pending sets into the next candidate input.
 //!
 //! After a run is banked and the arena frozen, an engine calls
-//! [`solve_next`]. It pops pending sets in the frontier's order and
-//! solves them until one is satisfiable, the frontier drains, or the
-//! wall clock runs out. With `workers > 1` it pops up to `workers` sets
-//! at a time and solves them concurrently against the frozen arena
-//! ([`crate::pool::parallel_map`]). Verdicts are still committed one by
-//! one in pop order, and the unconsumed tail goes back
-//! ([`Frontier::restore`]) before anything mutates the frontier. Only
-//! solving is speculative: the engine runs the winning model itself, on
-//! its own arena, so the verdict stream, the arena numbering and the
-//! witness are the same at every worker count.
+//! [`solve_next`]. It pops one pending set at a time, in the frontier's
+//! order, solves it on the calling thread against the frozen arena and
+//! commits the verdict, until one set is satisfiable, the frontier
+//! drains, or the wall clock runs out. This is the paper's §3.2 loop:
+//! the engine runs the winning model itself, on its own arena.
 
-use crate::pool::parallel_map;
-use crate::{signature, Frontier, SearchLimits, SpeculativePop};
-use solver::{mix_seed, solve_or_pin_ro_cached, ExprArena, PrefixCache, SolveCfg, SolveStats};
+use crate::{signature, Frontier, SearchLimits};
+use solver::{mix_seed, solve_or_pin, ExprArena, PrefixCache, SolveCfg, SolveStats};
 use std::time::Instant;
 
-/// Counters over the committed solver calls of a session.
+/// Counters over the solver calls of a session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveTally {
-    /// Committed solver calls.
+    /// Solver calls.
     pub calls: u64,
     /// Calls that found a model.
     pub sat: u64,
@@ -81,95 +75,44 @@ pub struct SolveCtx<'a> {
     pub cache: &'a PrefixCache,
     /// Solver configuration; each call reseeds it.
     pub solve: &'a SolveCfg,
-    /// Session seed: call `n` (1-based, in commit order) solves under
-    /// `mix_seed(seed, n)`, whichever worker runs it.
+    /// Session seed: call `n` (1-based) solves under `mix_seed(seed, n)`.
     pub seed: u64,
-    /// Worker count, prefix-cache switch and wall-clock cap.
+    /// Prefix-cache switch and wall-clock cap.
     pub limits: &'a SearchLimits,
     /// When the session started (the wall-clock cap counts from here).
     pub start: Instant,
 }
 
-/// The frontier as an UNSAT hook sees it. The sets popped after the
-/// UNSAT one may still be out on speculation; the first call to
-/// [`Tail::frontier`] puts them back, so whatever the hook then offers
-/// lands exactly where a one-set-at-a-time search would put it.
-pub struct Tail<'f> {
-    frontier: &'f mut Frontier,
-    unused: Option<std::vec::IntoIter<SpeculativePop>>,
-}
-
-impl Tail<'_> {
-    /// The frontier, with every unconsumed speculative pop restored.
-    pub fn frontier(&mut self) -> &mut Frontier {
-        if let Some(rest) = self.unused.take() {
-            self.frontier.restore(rest.collect());
-        }
-        self.frontier
-    }
-}
-
 /// Solves pending sets in the frontier's order until one is
-/// satisfiable (see the module docs for the protocol). Every committed
-/// call is counted into `tally` and its verdict into the frontier.
-/// `on_unsat(sig, tail)` runs after each UNSAT verdict, before the
-/// wall-clock check; a hook that mutates the frontier reaches it
-/// through [`Tail::frontier`]. A `workers` limit of 0 counts as 1.
+/// satisfiable. Every call is counted into `tally` and its verdict into
+/// the frontier. `on_unsat(sig, frontier)` runs after each UNSAT
+/// verdict, before the wall-clock check; whatever it offers is popped
+/// next if it lands on the priority lane.
 pub fn solve_next(
     frontier: &mut Frontier,
     ctx: &SolveCtx<'_>,
     tally: &mut SolveTally,
-    mut on_unsat: impl FnMut(u128, &mut Tail<'_>),
+    mut on_unsat: impl FnMut(u128, &mut Frontier),
 ) -> Streak {
-    let workers = ctx.limits.workers.max(1);
     let cache = ctx.limits.prefix_cache.then_some(ctx.cache);
-    'batch: loop {
-        let batch = frontier.pop_batch(workers);
-        if batch.is_empty() {
-            return Streak::Drained;
-        }
-        let base = tally.calls;
-        let solve = |i: usize, pop: &SpeculativePop| {
-            let cfg = SolveCfg {
-                seed: mix_seed(ctx.seed, base + i as u64 + 1),
-                ..ctx.solve.clone()
-            };
-            solve_or_pin_ro_cached(ctx.arena, &pop.set.cs, Some(&pop.set.seed), &cfg, cache)
+    while let Some(set) = frontier.pop() {
+        let cfg = SolveCfg {
+            seed: mix_seed(ctx.seed, tally.calls + 1),
+            ..ctx.solve.clone()
         };
-        let phase = parallel_map(workers, batch.iter().collect(), solve);
-        if workers > 1 {
-            frontier.note_worker_runs(&phase.worker_counts);
+        let (model, stats) = solve_or_pin(ctx.arena, &set.cs, Some(&set.seed), &cfg, cache);
+        tally.note(&stats, model.is_some());
+        let sig = signature(&set.cs);
+        frontier.note_solved_sig(sig, model.is_some());
+        if let Some(model) = model {
+            return Streak::Model(model);
         }
-        let mut pops = batch.into_iter();
-        for (model, stats) in phase.results {
-            let pop = pops.next().expect("one verdict per popped set");
-            tally.note(&stats, model.is_some());
-            let sig = signature(&pop.set.cs);
-            frontier.note_solved_sig(sig, model.is_some());
-            if let Some(model) = model {
-                frontier.restore(pops.collect());
-                return Streak::Model(model);
-            }
-            let mut tail = Tail {
-                frontier: &mut *frontier,
-                unused: Some(pops),
-            };
-            on_unsat(sig, &mut tail);
-            let unused = tail.unused;
-            if ctx.limits.wall_expired(ctx.start) {
-                if let Some(rest) = unused {
-                    frontier.restore(rest.collect());
-                }
-                return Streak::TimedOut;
-            }
-            match unused {
-                Some(rest) => pops = rest,
-                // The hook restored the tail: re-pop from the frontier
-                // as it now stands.
-                None => continue 'batch,
-            }
+        on_unsat(sig, frontier);
+        if ctx.limits.wall_expired(ctx.start) {
+            return Streak::TimedOut;
         }
     }
+    Streak::Drained
 }
 
 #[cfg(test)]
@@ -205,25 +148,20 @@ mod tests {
         }
         frontier.end_run();
         // The hook's offer re-offers a set that is still queued: the
-        // frontier promotes it to the priority lane — but only if a
-        // speculative pop of it was put back first.
+        // frontier promotes it to the priority lane.
         let repair = pinned(&mut arena, &[10]);
         arena.freeze();
         (arena, frontier, repair)
     }
 
-    type Observation = (Vec<Streak>, Vec<(u128, bool)>, SolveTally, u64, u64);
-
-    /// Streaks until the frontier drains. The hook offers `repair` on
-    /// the priority lane after the second UNSAT, so the speculative
-    /// tail must be back in the frontier before the offer.
-    fn drive(workers: usize) -> Observation {
+    #[test]
+    fn unsat_hook_offers_are_solved_next() {
+        // Streaks until the frontier drains. The hook offers `repair`
+        // on the priority lane after the second UNSAT, so it is solved
+        // right after that verdict, ahead of `x == 5`.
         let (arena, mut frontier, repair) = session();
         let cache = PrefixCache::new();
-        let limits = SearchLimits {
-            workers,
-            ..SearchLimits::analysis()
-        };
+        let limits = SearchLimits::analysis();
         let ctx = SolveCtx {
             arena: &arena,
             cache: &cache,
@@ -236,11 +174,10 @@ mod tests {
         let mut unsat = 0;
         let mut streaks = Vec::new();
         loop {
-            let streak = solve_next(&mut frontier, &ctx, &mut tally, |_, tail| {
+            let streak = solve_next(&mut frontier, &ctx, &mut tally, |_, frontier| {
                 unsat += 1;
                 if unsat == 2 {
-                    tail.frontier()
-                        .offer_priority(repair.clone(), vec![0x20], false);
+                    frontier.offer_priority(repair.clone(), vec![0x20], false);
                 }
             });
             let done = streak == Streak::Drained;
@@ -249,41 +186,29 @@ mod tests {
                 break;
             }
         }
-        let stats = frontier.into_stats();
-        let consumed = stats.popped - stats.restored;
-        (streaks, stats.solved_sigs, tally, stats.committed, consumed)
-    }
-
-    #[test]
-    fn every_worker_count_commits_the_same_streaks() {
-        let one = drive(1);
-        assert_eq!(one.2.calls, 6, "the promoted set is solved once");
-        assert_eq!(one.2.sat, 2, "x == 5 and x == 10");
+        assert_eq!(tally.calls, 6, "the promoted set is solved once");
+        assert_eq!(tally.sat, 2, "x == 5 and x == 10");
+        assert_eq!(tally.cache_hits + tally.cache_misses, tally.calls);
         assert_eq!(
-            one.0[0],
-            Streak::Model(vec![10]),
+            streaks,
+            vec![
+                Streak::Model(vec![10]),
+                Streak::Model(vec![5]),
+                Streak::Drained
+            ],
             "promoted ahead of x == 5"
         );
-        assert_eq!(one.2.cache_hits + one.2.cache_misses, one.2.calls);
-        assert_eq!(one.3, one.4, "every consumed pop is committed");
-        assert_eq!(
-            one.0
-                .iter()
-                .filter(|s| matches!(s, Streak::Model(_)))
-                .count(),
-            2
-        );
-        for workers in [0, 2, 3, 8] {
-            assert_eq!(one, drive(workers), "workers={workers} diverged");
-        }
+        let verdicts: Vec<bool> = frontier.stats().solved_sigs.iter().map(|v| v.1).collect();
+        assert_eq!(verdicts, [false, false, true, true, false, false]);
+        assert_eq!(frontier.stats().solved_sat, 2);
+        assert_eq!(frontier.stats().solved_unsat, 4);
     }
 
     #[test]
-    fn expired_wall_clock_stops_after_an_unsat_and_restores_the_tail() {
+    fn expired_wall_clock_stops_after_an_unsat() {
         let (arena, mut frontier, _) = session();
         let cache = PrefixCache::new();
         let limits = SearchLimits {
-            workers: 4,
             max_wall_ms: 1,
             ..SearchLimits::analysis()
         };
@@ -305,9 +230,7 @@ mod tests {
         let streak = solve_next(&mut frontier, &ctx, &mut tally, |_, _| {});
         assert_eq!(streak, Streak::TimedOut);
         assert_eq!(tally.calls, 1);
-        let stats = frontier.stats();
-        assert_eq!(stats.popped, stats.committed + stats.restored);
-        assert_eq!(frontier.len(), 5, "the speculative tail went back");
+        assert_eq!(frontier.len(), 5, "the unsolved sets stay queued");
     }
 
     #[test]

@@ -804,8 +804,8 @@ mod tests {
         let g1 = central.freeze();
 
         // A clone shares the frozen prefix by refcount.
-        let worker = central.clone();
-        assert_eq!(worker.generation(), g1);
+        let scratch = central.clone();
+        assert_eq!(scratch.generation(), g1);
 
         // Central extends and refreezes while the clone is alive: the
         // shared generation-g1 snapshot must stay byte-identical, so the
@@ -814,10 +814,10 @@ mod tests {
         central.bin(Op::Mul, e, seven);
         let g2 = central.freeze();
         assert_eq!(g2, g1 + 1);
-        assert_eq!(worker.generation(), g1, "clone still reads g1");
-        assert_eq!(worker.len(), 3, "clone's node count unchanged");
-        assert_eq!(worker.node(e), Node::Bin(Op::Add, x, five));
-        assert_eq!(central.eval(e, &[2]), worker.eval(e, &[2]));
+        assert_eq!(scratch.generation(), g1, "clone still reads g1");
+        assert_eq!(scratch.len(), 3, "clone's node count unchanged");
+        assert_eq!(scratch.node(e), Node::Bin(Op::Add, x, five));
+        assert_eq!(central.eval(e, &[2]), scratch.eval(e, &[2]));
     }
 
     #[test]

@@ -32,12 +32,9 @@
 //!   over the same ranges would leave them.
 //!
 //! Writes happen at one place only: the engines' bank phase
-//! (`register_path`), after a run executed. Solves — including the
-//! workers' speculative solves — take the cache by shared reference.
-//! That single-writer discipline is what makes the cache counters
-//! worker-count-invariant: within a solve streak the cache content is
-//! frozen, so every worker observes the same hits a one-worker streak
-//! would.
+//! (`register_path`), after a run executed. Solves take the cache by
+//! shared reference, so the content is frozen for the length of a solve
+//! streak and every hit depends only on the runs banked before it.
 
 use crate::arena::{ExprArena, ExprRef, VarId, VarInfo};
 use crate::constraint::{ConstraintSet, Lit, RangeConstraint};

@@ -118,19 +118,17 @@ pub use constraint::{ConstraintSet, Lit, RangeConstraint};
 pub use interval::{div_ceil, div_floor, propagate, range, range_in, Interval};
 pub use op::{eval_op, eval_unop, Op, UnOp};
 pub use solve::{
-    mix_seed, solve, solve_or_pin, solve_or_pin_cached, solve_or_pin_ro, solve_or_pin_ro_cached,
-    solve_with_stats, solve_with_stats_cached, SolveCfg, SolveStats, XorShift, GOLDEN_RATIO,
+    mix_seed, solve, solve_or_pin, solve_with_stats, solve_with_stats_cached, SolveCfg, SolveStats,
+    XorShift, GOLDEN_RATIO,
 };
 
-/// The solve-streak workers share one read-only [`ExprArena`] and
-/// move [`ConstraintSet`]s across thread boundaries; both are plain
-/// owned data (no `Rc`, no interior mutability), and this keeps it that
-/// way at compile time. The COW arena's frozen prefix and the prefix
-/// cache join the boundary: a snapshot is shared across worker threads
-/// via `Arc`, and the cache is read by every worker during a solve
-/// streak — `Sync` here is what lets them be shared without copies,
-/// and the freeze/bank discipline (single writer, between streaks) is
-/// what keeps the sharing race-free.
+/// Solver values are plain owned data (no `Rc`, no interior
+/// mutability), and this keeps it that way at compile time. Each solve
+/// runs on its session's own thread, but fleet triage runs whole replay
+/// sessions on separate class threads, so a session's arena, prefix
+/// cache and constraint sets must be free to live on any thread. The
+/// COW arena's frozen prefix sits behind an `Arc`, so the scratch clone
+/// the pin fallback builds is as thread-safe as the arena it copies.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ExprArena>();

@@ -515,77 +515,16 @@ pub fn solve_with_stats_cached(
 /// first, pinned with whatever remains), so an unsatisfiable set costs no
 /// more search than it did before ranges existed — the generalization
 /// must not tax the UNSAT-heavy replay workloads twice.
-pub fn solve_or_pin(
-    arena: &mut ExprArena,
-    cs: &ConstraintSet,
-    seed_assign: Option<&[i64]>,
-    cfg: &SolveCfg,
-) -> (Option<Vec<i64>>, SolveStats) {
-    solve_or_pin_cached(arena, cs, seed_assign, cfg, None)
-}
-
-/// [`solve_or_pin`] with a [`PrefixCache`]. The prefix-hit stats come
-/// from the bounded attempt only: one outer call counts as one cache
-/// hit or miss, and the pinned retry's prepended `Eq` pins shift every
-/// literal position, so its prefix never matches a banked path anyway.
-pub fn solve_or_pin_cached(
-    arena: &mut ExprArena,
-    cs: &ConstraintSet,
-    seed_assign: Option<&[i64]>,
-    cfg: &SolveCfg,
-    cache: Option<&PrefixCache>,
-) -> (Option<Vec<i64>>, SolveStats) {
-    if !cs.has_ranges() {
-        return solve_with_stats_cached(arena, cs, seed_assign, cfg, cache);
-    }
-    let bounded_cfg = SolveCfg {
-        max_iters: (cfg.max_iters / 2).max(1),
-        ..cfg.clone()
-    };
-    let (model, mut stats) = solve_with_stats_cached(arena, cs, seed_assign, &bounded_cfg, cache);
-    if model.is_some() || stats.refuted {
-        return (model, stats);
-    }
-    let pinned = cs.pinned(arena);
-    let pin_cfg = SolveCfg {
-        max_iters: cfg.max_iters.saturating_sub(stats.iters).max(1),
-        ..cfg.clone()
-    };
-    let (model, pin_stats) = solve_with_stats_cached(arena, &pinned, seed_assign, &pin_cfg, cache);
-    stats.iters += pin_stats.iters;
-    stats.inversions += pin_stats.inversions;
-    stats.restarts += pin_stats.restarts;
-    stats.pin_fallback = true;
-    (model, stats)
-}
-
-/// [`solve_or_pin`] against a *shared, read-only* arena — the form the
-/// parallel solve phase needs, where several worker threads solve
-/// speculatively popped sets against one central arena at once.
 ///
-/// The rare pin fallback builds its `Eq` pins in a private clone of the
-/// arena instead of interning them centrally, so the central arena's
-/// node numbering never depends on how many sets were solved
-/// speculatively (or on which solves stalled) — that independence is
-/// what keeps worker-count-invariant sessions bit-identical. Verdicts
-/// and models are the same as [`solve_or_pin`]'s: the pinned variant is
-/// built from the same arena state, and solving is insensitive to
-/// whether the pin nodes persist afterwards.
-pub fn solve_or_pin_ro(
-    arena: &ExprArena,
-    cs: &ConstraintSet,
-    seed_assign: Option<&[i64]>,
-    cfg: &SolveCfg,
-) -> (Option<Vec<i64>>, SolveStats) {
-    solve_or_pin_ro_cached(arena, cs, seed_assign, cfg, None)
-}
-
-/// [`solve_or_pin_ro`] with a [`PrefixCache`] — the form the engines'
-/// solve phases use, serial and parallel alike. Workers share the cache
-/// by reference against the frozen central arena; the scratch clone the
-/// pin fallback builds shares the frozen prefix by refcount, so banked
-/// entries (keyed on prefix handles) stay valid inside it.
-pub fn solve_or_pin_ro_cached(
+/// The arena is read-only: the fallback builds its `Eq` pins in a
+/// scratch clone, so the session arena's node numbering never depends
+/// on which solves stalled. The clone shares the frozen prefix by
+/// refcount, so `cache` entries (keyed on prefix handles) stay valid
+/// inside it. The prefix-hit stats come from the bounded attempt only:
+/// one call counts as one cache hit or miss, and the pinned retry's
+/// prepended pins shift every literal position, so its prefix never
+/// matches a banked path anyway.
+pub fn solve_or_pin(
     arena: &ExprArena,
     cs: &ConstraintSet,
     seed_assign: Option<&[i64]>,
@@ -979,7 +918,7 @@ mod tests {
             expr: hit,
             positive: true,
         });
-        let (m, stats) = solve_or_pin(&mut a, &cs, Some(&[4104]), &SolveCfg::default());
+        let (m, stats) = solve_or_pin(&a, &cs, Some(&[4104]), &SolveCfg::default(), None);
         assert!(m.is_none());
         assert!(stats.refuted && stats.iters == 0, "{stats:?}");
         assert!(!stats.pin_fallback, "a proof needs no pinned retry");
@@ -1211,7 +1150,7 @@ mod tests {
             max_iters: 64, // plenty for the pins, hopeless for x*y == 169
             ..SolveCfg::default()
         };
-        let (m, stats) = solve_or_pin(&mut a, &cs, Some(&[0, 0]), &cfg);
+        let (m, stats) = solve_or_pin(&a, &cs, Some(&[0, 0]), &cfg, None);
         let m = m.expect("pin fallback must solve via the witness values");
         assert!(stats.pin_fallback, "fallback path must be taken");
         assert_eq!(m[0] * m[1], 169);
@@ -1219,10 +1158,10 @@ mod tests {
 
     #[test]
     fn solve_or_pin_skips_fallback_when_refuted() {
-        let (mut a, v) = bytes(1);
+        let (a, v) = bytes(1);
         let mut cs = ConstraintSet::new();
         cs.push_range(RangeConstraint::range(v[0], 300, 400, 300));
-        let (m, stats) = solve_or_pin(&mut a, &cs, None, &SolveCfg::default());
+        let (m, stats) = solve_or_pin(&a, &cs, None, &SolveCfg::default(), None);
         assert!(m.is_none());
         assert!(stats.refuted);
         assert!(
@@ -1232,38 +1171,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_or_pin_ro_matches_mutating_variant() {
-        // The fallback shape from `solve_or_pin_falls_back_when_bounded_
-        // form_stalls`, solved both ways: verdict, model, and stats must
-        // agree, and the read-only variant must leave the arena's node
-        // count untouched (no interned pins).
-        let (mut a, v) = bytes(2);
-        let prod = a.bin(Op::Mul, v[0], v[1]);
-        let c169 = a.constant(169);
-        let hit = a.bin(Op::Eq, prod, c169);
-        let mut cs = ConstraintSet::new();
-        cs.push_range(RangeConstraint::range(v[0], 0, 255, 13));
-        cs.push_range(RangeConstraint::range(v[1], 0, 255, 13));
-        cs.push(Lit {
-            expr: hit,
-            positive: true,
-        });
-        let cfg = SolveCfg {
-            max_iters: 64,
-            ..SolveCfg::default()
-        };
-        let nodes_before = a.len();
-        let (ro_model, ro_stats) = solve_or_pin_ro(&a, &cs, Some(&[0, 0]), &cfg);
-        assert_eq!(a.len(), nodes_before, "read-only variant interns nothing");
-        let (mut_model, mut_stats) = solve_or_pin(&mut a, &cs, Some(&[0, 0]), &cfg);
-        assert_eq!(ro_model, mut_model);
-        assert!(ro_stats.pin_fallback && mut_stats.pin_fallback);
-        assert_eq!(ro_stats.iters, mut_stats.iters);
-        assert_eq!(ro_stats.inversions, mut_stats.inversions);
-    }
-
-    #[test]
-    fn solve_or_pin_ro_without_ranges_is_plain_solve() {
+    fn solve_or_pin_without_ranges_is_plain_solve() {
         let (mut a, v) = bytes(1);
         let c = a.constant(65);
         let mut cs = ConstraintSet::new();
@@ -1271,7 +1179,7 @@ mod tests {
             expr: a.bin(Op::Eq, v[0], c),
             positive: true,
         });
-        let (m, stats) = solve_or_pin_ro(&a, &cs, None, &SolveCfg::default());
+        let (m, stats) = solve_or_pin(&a, &cs, None, &SolveCfg::default(), None);
         assert_eq!(m.expect("solvable")[0], 65);
         assert!(!stats.pin_fallback);
     }

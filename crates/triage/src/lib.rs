@@ -28,6 +28,7 @@
 pub mod cluster;
 pub mod fleet;
 pub mod pipeline;
+pub mod pool;
 
 pub use cluster::{
     class_key, crash_digest, report_digest, trace_prefix_hash, ClassKey, DEFAULT_PREFIX_BITS,

@@ -18,8 +18,7 @@
 //! numbered first-seen, each class's replay is seeded
 //! `mix_seed(cfg.seed, class_index)` and results commit in class order
 //! — so every deterministic output is identical at any worker count
-//! (the worker pool only changes wall time, like the engines' inner
-//! parallelism it reuses).
+//! (the worker pool only changes wall time).
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -30,15 +29,15 @@ use oskit::KernelConfig;
 use replay::InputParts;
 use retrace_core::metrics::TriageRow;
 use retrace_core::{mix_seed, AnalysisBundle, SearchPolicy, Workbench};
-use search::pool::parallel_map;
 
 use crate::cluster::{class_key, crash_digest, report_digest, ClassKey, DEFAULT_PREFIX_BITS};
+use crate::pool::parallel_map;
 
 /// Knobs of one triage run.
 #[derive(Debug, Clone)]
 pub struct TriageConfig {
-    /// Worker threads for the class-replay dispatch (each class's inner
-    /// search stays at the binary workbench's own worker count).
+    /// Worker threads for the class-replay dispatch (each class's
+    /// replay runs on one thread).
     pub workers: usize,
     /// Path-prefix solve cache inside the replays.
     pub cache: bool,
@@ -106,7 +105,6 @@ impl FleetBinary {
         awb.seed = self.wb.seed;
         awb.policy = self.analysis_policy.clone();
         awb.concretization = self.wb.concretization;
-        awb.workers = self.wb.workers;
         awb.cache = self.wb.cache;
         awb
     }
@@ -448,8 +446,7 @@ impl TriagePipeline {
 
         // Phase 3: commit serially in class order.
         let mut classes = Vec::with_capacity(builds.len());
-        for (cid, (b, (res, conforms, class_wall))) in
-            builds.into_iter().zip(replayed.results).enumerate()
+        for (cid, (b, (res, conforms, class_wall))) in builds.into_iter().zip(replayed).enumerate()
         {
             let sub = &self.subs[b.members[0]];
             let conformed = if conforms { b.members.len() } else { 0 };
